@@ -163,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all", help="which benchmark suite(s) to run")
     p.add_argument("--quick", action="store_true",
                    help="smaller sizes/counts (CI smoke mode)")
-    p.add_argument("--backend", choices=["fast", "reference"], default=None,
-                   help="pin the crypto backend for the crypto suite")
     p.add_argument("--only", default=None, metavar="SUBSTR",
                    help="filter crypto benchmarks by cipher-name substring")
     p.add_argument("--out-dir", default=".", metavar="DIR",
@@ -628,7 +626,7 @@ def _cmd_bench(args) -> int:
             suites["crypto"] = bench_crypto(
                 size=32768 if args.quick else 262144,
                 repeats=1 if args.quick else 3,
-                backend=args.backend, only=args.only, progress=progress)
+                only=args.only, progress=progress)
         if args.suite in ("sim", "all"):
             suites["sim"] = bench_sim(
                 events=20000 if args.quick else 200000,

@@ -7,7 +7,6 @@ published test vectors.
 
 from .aead import AESGCM, AuthenticationError, ChaCha20Poly1305, new_aead
 from .aes import AES
-from .backend import current_backend, set_backend
 from .chacha20 import ChaCha20, chacha20_block
 from .kdf import derive_subkey, evp_bytes_to_key, hkdf_sha1
 from .modes import CFBMode, CTRMode
@@ -29,7 +28,6 @@ __all__ = [
     "CipherSpec",
     "RC4",
     "chacha20_block",
-    "current_backend",
     "derive_subkey",
     "evp_bytes_to_key",
     "get_spec",
@@ -37,6 +35,5 @@ __all__ = [
     "new_aead",
     "new_stream_cipher",
     "poly1305_mac",
-    "set_backend",
     "specs_by_kind",
 ]

@@ -64,34 +64,30 @@ class ChaCha20Poly1305:
         return ChaCha20(self._key, nonce, counter=1).decrypt(ciphertext)
 
 
-# (impl-class, name, key) -> instance.  Both AEAD classes are stateless
-# per call — seal/open are pure functions of (nonce, message, aad); the
-# only instance attributes beyond the key are lazily built lookup tables
-# — so sessions deriving the same subkey (HKDF is memoized, and seeded
+_AEADS = {
+    "aes-128-gcm": AESGCM,
+    "aes-192-gcm": AESGCM,
+    "aes-256-gcm": AESGCM,
+    "chacha20-ietf-poly1305": ChaCha20Poly1305,
+}
+
+# (name, key) -> instance.  Both AEAD classes are stateless per call —
+# seal/open are pure functions of (nonce, message, aad); the only
+# instance attributes beyond the key are lazily built lookup tables — so
+# sessions deriving the same subkey (HKDF is memoized, and seeded
 # repeats re-derive the same salts) can share one object and its tables.
-# Keyed on the impl class, so flipping REPRO_CRYPTO backends mid-process
-# can never hand back an instance from the other backend.
 _INSTANCE_CACHE: dict = {}
 _INSTANCE_CACHE_MAX = 1 << 12
 
 
 def new_aead(name: str, key: bytes):
-    """Construct (or reuse) an AEAD object by OpenSSL-style method name.
-
-    Honours the ``REPRO_CRYPTO`` backend switch (fast vs reference).
-    """
-    from .backend import aead_impls
-
-    aes_gcm, chacha_poly = aead_impls()
-    if name in ("aes-128-gcm", "aes-192-gcm", "aes-256-gcm"):
-        impl = aes_gcm
-    elif name == "chacha20-ietf-poly1305":
-        impl = chacha_poly
-    else:
-        raise ValueError(f"unknown AEAD method: {name!r}")
-    cache_key = (impl, name, key)
+    """Construct (or reuse) an AEAD object by OpenSSL-style method name."""
+    cache_key = (name, key)
     box = _INSTANCE_CACHE.get(cache_key)
     if box is None:
+        impl = _AEADS.get(name)
+        if impl is None:
+            raise ValueError(f"unknown AEAD method: {name!r}")
         box = impl(key)
         if len(_INSTANCE_CACHE) >= _INSTANCE_CACHE_MAX:
             _INSTANCE_CACHE.clear()

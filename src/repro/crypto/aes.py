@@ -5,8 +5,7 @@ Every cipher mode used by Shadowsocks (CTR, CFB, GCM) needs only the
 implemented.  SubBytes + ShiftRows + MixColumns are fused into four
 precomputed 32-bit T-tables and the round loop works on four column
 words, which is several times faster than the byte-oriented FIPS 197
-walk retained in :mod:`repro.crypto._reference` (and property-tested
-byte-identical to it).  ``keystream`` generates many counter-mode blocks
+walk (property-tested byte-identical to it).  ``keystream`` generates many counter-mode blocks
 per call so CTR/GCM pay Python's call overhead once per buffer, not once
 per 16 bytes.
 """

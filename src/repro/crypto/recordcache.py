@@ -1,4 +1,4 @@
-"""Process-wide AEAD record memo (fast backend only).
+"""Process-wide AEAD record memo.
 
 In the simulation the sealing and the opening endpoint of a tunnel live
 in one process: every AEAD record a client seals, the server opens with
@@ -23,9 +23,7 @@ memo was never meant to absorb.  ``repro bench --suite crypto``
 additionally disables the memo outright for its measurement window, so
 reported primitive throughput always reflects real seal/open work.
 
-``REPRO_CRYPTO_CACHE=0`` disables the memo.  The reference backend
-never routes through it, so fast-vs-reference equivalence always
-compares real computations.
+``REPRO_CRYPTO_CACHE=0`` disables the memo.
 """
 
 from __future__ import annotations

@@ -8,10 +8,6 @@ probes key on:
 * ``chacha20-ietf`` — RFC 8439 variant, 12-byte nonce
 * ``aes-{128,192,256}-{ctr,cfb}`` — 16-byte IV
 * ``rc4-md5``       — 16-byte IV, RC4 keyed by MD5(key || IV)
-
-``new_stream_cipher`` honours the ``REPRO_CRYPTO`` backend switch (see
-:mod:`repro.crypto.backend`): the default fast implementations, or the
-retained reference ones for equivalence testing.
 """
 
 from __future__ import annotations
@@ -20,7 +16,9 @@ import hashlib
 import struct
 
 from . import _numpy as _nx
-from .chacha20 import _CONSTANTS, _KeystreamCipher, _quarter_round, _run_rounds
+from .chacha20 import (_CONSTANTS, ChaCha20, _KeystreamCipher, _quarter_round,
+                       _run_rounds)
+from .modes import CFBMode, CTRMode
 
 __all__ = ["RC4", "ChaCha20DJB", "new_stream_cipher"]
 
@@ -118,17 +116,14 @@ def new_stream_cipher(name: str, key: bytes, iv: bytes, encrypt: bool):
     ``encrypt`` only matters for CFB, whose feedback register differs by
     direction; CTR/ChaCha/RC4 are symmetric.
     """
-    from .backend import stream_cipher_impls
-
-    chacha_djb, chacha_ietf, rc4, ctr, cfb = stream_cipher_impls()
     if name == "chacha20":
-        return chacha_djb(key, iv)
+        return ChaCha20DJB(key, iv)
     if name == "chacha20-ietf":
-        return chacha_ietf(key, iv)
+        return ChaCha20(key, iv)
     if name == "rc4-md5":
-        return rc4(hashlib.md5(key + iv).digest())
+        return RC4(hashlib.md5(key + iv).digest())
     if name.startswith("aes-") and name.endswith("-ctr"):
-        return ctr(key, iv)
+        return CTRMode(key, iv)
     if name.startswith("aes-") and name.endswith("-cfb"):
-        return cfb(key, iv, encrypt=encrypt)
+        return CFBMode(key, iv, encrypt=encrypt)
     raise ValueError(f"unknown stream cipher method: {name!r}")

@@ -7,8 +7,8 @@ centralized processes — is modeled without thousands of host objects.
 
 from __future__ import annotations
 
-import os
 import random
+import zlib
 from typing import Callable, Dict, Optional, Tuple
 
 from .capture import Capture
@@ -21,33 +21,17 @@ __all__ = ["Host"]
 # paper observes ~90% of probes within it (Figure 5).
 LINUX_EPHEMERAL_RANGE = (32768, 60999)
 
-# Inlined pure-SYN test for the delivery fast path.
+# Inlined pure-SYN test for the delivery dispatch.
 _SYN_ACK_MASK = Flags.SYN | Flags.ACK
 
 
 class Host:
-    """A network endpoint with its own clock, ports, and capture."""
+    """A network endpoint with its own clock, ports, and capture.
 
-    # Burst the transmit side (see ``begin_tx_batch``).  Class-level so
-    # equivalence tests — and ``REPRO_NET_BATCH=0`` — can force the
-    # historical one-event-per-segment datapath; both paths produce
-    # byte-identical runs (property-tested), batching is purely faster.
-    tx_batching = os.environ.get("REPRO_NET_BATCH", "1") not in ("0", "false", "no")
-
-    # Burst the receive side (see ``deliver_burst``).  ``REPRO_NET_BATCH_RX=0``
-    # is the kill switch forcing per-segment delivery; both paths are
-    # byte-identical (property-tested).
-    rx_batching = os.environ.get("REPRO_NET_BATCH_RX", "1") not in ("0", "false", "no")
-
-    # Contract guard for the batched receive path.  ``deliver_burst``
-    # historically promised that subclass/test overrides of ``deliver``
-    # (or ``_deliver_one``) observe every arrival; the fast path hands a
-    # whole run to the connection in one call, which would silently
-    # bypass such hooks.  ``None`` means auto-detect in ``__init__``
-    # (fast path only when both methods are the stock ones); a subclass
-    # that overrides ``deliver`` but still wants batched receive can opt
-    # in explicitly with ``batched_rx_ok = True``.
-    batched_rx_ok: Optional[bool] = None
+    To observe arrivals, subscribe to ``capture``: the delivery methods
+    are dispatch, not hooks, and ``deliver_burst`` hands in-order runs to
+    the connection without a per-segment call.
+    """
 
     def __init__(
         self,
@@ -65,22 +49,15 @@ class Host:
         self.ip = ip
         self.name = name or ip
         self.default_ttl = default_ttl
-        self.rng = rng or random.Random(hash(ip) & 0xFFFFFFFF)
+        # Seeded from a stable function of the address: ``hash(str)``
+        # changes with PYTHONHASHSEED, and with it every ISN, IP ID,
+        # TSval offset and ephemeral port this host draws.
+        self.rng = rng or random.Random(zlib.crc32(ip.encode()))
         self.capture = Capture()
 
         # TCP timestamp clock: value = (boot_offset + rate * now) mod 2^32.
         self.tsval_rate = tsval_rate
         self._tsval_offset = self.rng.randrange(1 << 32)
-
-        # Stock-delivery detection: when neither ``deliver`` nor
-        # ``_deliver_one`` is overridden, the network may route arrivals
-        # through the fused fast path (``_deliver_fast``) and the batched
-        # receive path without bypassing any subclass/test hook.
-        cls = type(self)
-        self._stock_delivery = (cls.deliver is Host.deliver
-                                and cls._deliver_one is Host._deliver_one)
-        if self.batched_rx_ok is None:
-            self.batched_rx_ok = self._stock_delivery
 
         self._connections: Dict[Tuple, TcpConnection] = {}
         self._listeners: Dict[int, Callable[[TcpConnection], object]] = {}
@@ -176,17 +153,10 @@ class Host:
 
     def begin_tx_batch(self) -> None:
         """Open a transmit batch; segments buffer until the outermost
-        :meth:`end_tx_batch` flushes them as per-flow bursts.
-
-        A no-op when ``tx_batching`` is off — transmissions then hit the
-        network immediately, one event per segment (the historical path).
-        """
-        if self.tx_batching:
-            self._tx_depth += 1
+        :meth:`end_tx_batch` flushes them as per-flow bursts."""
+        self._tx_depth += 1
 
     def end_tx_batch(self) -> None:
-        if not self.tx_batching:
-            return
         self._tx_depth -= 1
         if self._tx_depth == 0 and self._tx_buffer:
             self._flush_tx()
@@ -196,8 +166,8 @@ class Host:
 
         Consecutive runs sharing one directional flow 4-tuple become one
         burst — this preserves the *global* emission order exactly (no
-        cross-flow reordering), so on-path observers see the identical
-        segment sequence the unbatched datapath produced.
+        cross-flow reordering), so on-path observers see segments in the
+        order they were transmitted.
         """
         buffer = self._tx_buffer
         self._tx_buffer = []
@@ -229,19 +199,15 @@ class Host:
             send_burst(SegmentBurst(run))
 
     def deliver(self, seg: Segment) -> None:
-        """Receive a segment from the network.
+        """Receive one segment from the network.
 
-        Inlines the begin/end transmit-batch bracket (identical
-        semantics): delivery is the hottest caller of the batch context
-        and the two extra method calls per segment showed up in
-        profiles.
+        Whatever the arrival makes this host send leaves as per-flow
+        bursts: the begin/end transmit-batch bracket is inlined here,
+        because delivery is its hottest caller.
         """
-        if not self.tx_batching:
-            self._deliver_one(seg)
-            return
         self._tx_depth += 1
         try:
-            self._deliver_one(seg)
+            self._deliver_fast(seg)
         finally:
             self._tx_depth -= 1
             if self._tx_depth == 0 and self._tx_buffer:
@@ -250,94 +216,54 @@ class Host:
     def deliver_burst(self, segs) -> None:
         """Receive a same-flow burst (one delivery event) from the network.
 
-        Fast path: when receive batching is on (``rx_batching``, kill
-        switch ``REPRO_NET_BATCH_RX=0``) and this host's delivery hooks
-        are stock (``batched_rx_ok``), the owning connection consumes a
-        qualifying in-order prefix in one :meth:`TcpConnection.handle_burst`
-        call — classification, ``rcv_nxt`` advance, and cumulative-ACK
-        emission amortized across the run, with the ACKs leaving as one
-        coalesced return burst when the transmit batch flushes.
-
-        Everything else — no matching connection, overridden delivery
-        hooks, or the unconsumed remainder of a burst (OOO data, FIN/RST
-        tails, handshake segments) — routes through :meth:`deliver` per
-        segment (batch contexts nest), so subclasses or tests overriding
-        ``deliver`` see every arrival.  Both paths are byte-identical;
-        batching is purely faster.
+        The owning connection consumes a qualifying in-order prefix in
+        one :meth:`TcpConnection.handle_burst` call — classification,
+        ``rcv_nxt`` advance, and cumulative-ACK emission amortized across
+        the run, with the ACKs leaving as one coalesced return burst when
+        the transmit batch flushes.  The rest — no matching connection,
+        or the unconsumed remainder of a burst (OOO data, FIN/RST tails,
+        handshake segments) — is dispatched one segment at a time.
         """
-        batching = self.tx_batching
-        if batching:
-            self._tx_depth += 1
+        self._tx_depth += 1
         try:
             start = 0
             count = len(segs)
-            # Instance-level monkeypatches of the delivery hooks (tests,
-            # taps) force the dynamic per-segment path, same as class
-            # overrides: every arrival must reach the patched hook.
-            d = self.__dict__
-            stock = ("deliver" not in d and "_deliver_one" not in d
-                     and self._stock_delivery)
-            if count > 1 and stock and self.rx_batching and self.batched_rx_ok:
+            if count > 1:
                 first = segs[0]
                 conn = self._connections.get(
                     (first.dst_ip, first.dst_port, first.src_ip, first.src_port))
                 if conn is not None:
                     start = conn.handle_burst(segs)
-            if start < count:
-                deliver = self._deliver_fast if stock else self.deliver
-                for k in range(start, count):
-                    deliver(segs[k])
+            for k in range(start, count):
+                self._deliver_fast(segs[k])
         finally:
-            if batching:
-                self._tx_depth -= 1
-                if self._tx_depth == 0 and self._tx_buffer:
-                    self._flush_tx()
+            self._tx_depth -= 1
+            if self._tx_depth == 0 and self._tx_buffer:
+                self._flush_tx()
 
     def _deliver_fast(self, seg: Segment) -> None:
-        """Fused ``deliver`` + ``_deliver_one`` for stock hosts.
+        """Capture one arrival and dispatch it: to its connection, to a
+        listener if it opens one, else answer with RST.
 
-        The network routes single-segment arrivals here when this host's
-        delivery hooks are unoverridden (``_stock_delivery``), collapsing
-        the dispatch chain to one call.  Semantics are identical to
-        ``deliver``; hosts with overridden hooks always go through it.
+        Runs inside the transmit batch of :meth:`deliver` or
+        :meth:`deliver_burst`.
         """
-        batching = self.tx_batching
-        if batching:
-            self._tx_depth += 1
-        try:
-            cap = self.capture
-            if cap.enabled:
-                if cap.taps:
-                    cap.record(seg, self.sim.now, sent=False)
-                elif cap.buffering:
-                    cap._raw.append((self.sim.now, False, seg))
-            conn = self._connections.get(
-                (seg.dst_ip, seg.dst_port, seg.src_ip, seg.src_port))
-            if conn is not None:
-                conn.handle_segment(seg)
-            elif (seg.flags & _SYN_ACK_MASK == Flags.SYN
-                  and seg.dst_port in self._listeners):
-                self._accept(seg)
-            elif not seg.flags & Flags.RST:
-                self._refuse(seg)
-        finally:
-            if batching:
-                self._tx_depth -= 1
-                if self._tx_depth == 0 and self._tx_buffer:
-                    self._flush_tx()
-
-    def _deliver_one(self, seg: Segment) -> None:
-        self.capture.record(seg, self.sim.now, sent=False)
-        key = (seg.dst_ip, seg.dst_port, seg.src_ip, seg.src_port)
-        conn = self._connections.get(key)
+        cap = self.capture
+        if cap.enabled:
+            if cap.taps:
+                cap.record(seg, self.sim.now, sent=False)
+            elif cap.buffering:
+                cap._raw.append((self.sim.now, False, seg))
+        conn = self._connections.get(
+            (seg.dst_ip, seg.dst_port, seg.src_ip, seg.src_port))
         if conn is not None:
             conn.handle_segment(seg)
-            return
-        if seg.is_syn and seg.dst_port in self._listeners:
+        elif (seg.flags & _SYN_ACK_MASK == Flags.SYN
+              and seg.dst_port in self._listeners):
             self._accept(seg)
-            return
-        # Closed port: a real stack answers a stray SYN (or data) with RST.
-        if not seg.has(Flags.RST):
+        elif not seg.flags & Flags.RST:
+            # Closed port: a real stack answers a stray SYN (or data)
+            # with RST.
             self._refuse(seg)
 
     def _accept(self, syn: Segment) -> None:

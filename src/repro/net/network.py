@@ -241,10 +241,11 @@ class Network:
         """Route a same-flow burst through the middlebox chain as one unit.
 
         The burst traverses every middlebox in emission order and is
-        delivered by a single scheduled event (per-segment events on
-        impaired paths, so each copy keeps its own fault draws — see
-        :meth:`_schedule_delivery_burst`).  Byte-identical to calling
-        :meth:`send_segment` once per member.
+        delivered by a single scheduled event, weighted so the
+        ``sim.events`` counter counts its segments.  On impaired paths
+        each segment gets its own event and fault draws, taken in burst
+        (= emission) order: the RNG stream one :meth:`send_segment` call
+        per member would consume.
         """
         now = self.sim.now
         for seg in burst.segments:
@@ -260,7 +261,6 @@ class Network:
                 self.segments_dropped += before - len(current)
             if not current:
                 return
-        # Inlined _schedule_delivery_burst, pristine branch first.
         if len(current) == 1:
             self._schedule_delivery(current[0])
             return
@@ -325,31 +325,6 @@ class Network:
         for extra in delays:
             self.sim.schedule(delay + extra, self._deliver, seg)
 
-    def _schedule_delivery_burst(self, segs: List[Segment]) -> None:
-        if len(segs) == 1:
-            self._schedule_delivery(segs[0])
-            return
-        first = segs[0]
-        delay, _, impairment, _ = self._path(first.src_ip, first.dst_ip)
-        if impairment is None:
-            # Pristine path: one delivery event for the whole burst,
-            # weighted so the ``sim.events`` counter matches the
-            # per-segment datapath exactly.
-            self.sim.schedule_fire(delay, self._deliver_burst, segs,
-                                   weight=len(segs))
-            return
-        # Impaired path: fall back to one event per copy, drawing each
-        # segment's faults in burst (= emission) order — the identical
-        # RNG stream the per-segment datapath consumes, so seeded
-        # impaired runs stay reproducible under batching.
-        for seg in segs:
-            delays = self._impaired_delays(impairment, "net")
-            if not delays:
-                self.segments_dropped += 1
-                self.impairment_drops += 1
-            for extra in delays:
-                self.sim.schedule(delay + extra, self._deliver, seg)
-
     def _impaired_delays(self, impairment: Impairment, layer: str) -> List[float]:
         """Extra delivery delays under a fault profile ([] means dropped).
 
@@ -393,16 +368,7 @@ class Network:
             self.sim.bus.incr("net.ttl.expired")
             return
         self.segments_delivered += 1
-        arrived = seg.arrived(ttl, self.sim.now)
-        # Stock hosts take the fused dispatch (one call instead of the
-        # deliver -> _deliver_one chain); overridden hooks — class-level
-        # (``_stock_delivery``) or instance-level monkeypatches (the
-        # ``__dict__`` probes) — keep the dynamic ``deliver`` dispatch.
-        d = host.__dict__
-        if host._stock_delivery and "deliver" not in d and "_deliver_one" not in d:
-            host._deliver_fast(arrived)
-        else:
-            host.deliver(arrived)
+        host.deliver(seg.arrived(ttl, self.sim.now))
 
     def _deliver_pristine(self, seg: Segment) -> None:
         """:meth:`_deliver` for unimpaired paths: arrival without a clone.
@@ -431,11 +397,7 @@ class Network:
         self.segments_delivered += 1
         seg.ttl = ttl
         seg.timestamp = self.sim.now
-        d = host.__dict__
-        if host._stock_delivery and "deliver" not in d and "_deliver_one" not in d:
-            host._deliver_fast(seg)
-        else:
-            host.deliver(seg)
+        host.deliver(seg)
 
     def _deliver_burst(self, segs: List[Segment]) -> None:
         first = segs[0]

@@ -32,8 +32,8 @@ class Event:
 
     ``weight`` is the number of logical events this callback stands for:
     a batched burst delivery carries ``weight=len(burst)`` so the
-    ``sim.events`` counter — part of deterministic run snapshots — stays
-    byte-identical with the per-segment datapath.
+    ``sim.events`` counter — part of deterministic run snapshots —
+    counts delivered segments, however they were grouped into bursts.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "consumed",
@@ -149,7 +149,7 @@ class Simulator:
         Returns the number of callbacks processed by *this* call (the
         lifetime total stays available as :attr:`processed`).  The
         ``sim.events`` bus counter advances by the *weighted* total, so
-        batched and per-segment datapaths report identical event counts.
+        a burst counts one event per segment it carries.
         """
         processed = 0
         weighted = 0

@@ -42,7 +42,6 @@ from .packet import Flags, Segment, flag_words, lengths
 __all__ = ["TcpConnection", "TcpState"]
 
 _SEQ_MASK = 0xFFFFFFFF
-_HOST_TRANSMIT = None  # Host.transmit, resolved lazily (circular import)
 # Both handshake bits set: the SYN/ACK test on the per-segment hot path.
 _SYN_ACK_BOTH = Flags.SYN | Flags.ACK
 
@@ -85,7 +84,7 @@ class TcpConnection:
         "fin_received", "fin_sent_first", "reset_received", "reset_sent",
         "timed_out", "bytes_received", "bytes_sent", "retransmits",
         "on_connected", "on_data", "on_remote_fin", "on_reset", "on_closed",
-        "on_data_run", "_grb", "_fast_tx",
+        "on_data_run", "_grb",
     )
 
     MSS = 1400
@@ -183,16 +182,6 @@ class TcpConnection:
         # ``_randbelow`` delegation.
         self._grb = (host.rng.getrandbits
                      if type(host.rng) is random.Random else None)
-        # Transmit fast path: with a stock (class-level) ``transmit``,
-        # ``_emit`` inlines the capture stamp + buffer/send dispatch.
-        # Instance-level monkeypatches are re-checked per emission.
-        # (Lazy Host lookup: host.py imports this module at load time,
-        # so the reverse import must happen at runtime.)
-        global _HOST_TRANSMIT
-        if _HOST_TRANSMIT is None:
-            from .host import Host
-            _HOST_TRANSMIT = Host.transmit
-        self._fast_tx = type(host).transmit is _HOST_TRANSMIT
         # Opt-in burst delivery: when set, the batched receive path hands
         # an in-order data run to the app as ONE call with the list of
         # payloads instead of one ``on_data`` per segment (the ACKs are
@@ -247,21 +236,18 @@ class TcpConnection:
         seg.tsval = tsval
         seg.tsecr = self._last_tsval_seen if acked else None
         seg.timestamp = 0.0
-        # Inlined Host.transmit for stock hosts (see _fast_tx): capture
-        # stamp, then buffer under an open tx batch or send immediately.
-        if self._fast_tx and "transmit" not in host.__dict__:
-            cap = host.capture
-            if cap.enabled:
-                if cap.taps:
-                    cap.record(seg, host.sim.now, sent=True)
-                elif cap.buffering:
-                    cap._raw.append((host.sim.now, True, seg))
-            if host._tx_depth:
-                host._tx_buffer.append(seg)
-            else:
-                host.network.send_segment(seg)
+        # Inlined Host.transmit: capture stamp, then buffer under an
+        # open tx batch or send immediately.
+        cap = host.capture
+        if cap.enabled:
+            if cap.taps:
+                cap.record(seg, host.sim.now, sent=True)
+            elif cap.buffering:
+                cap._raw.append((host.sim.now, True, seg))
+        if host._tx_depth:
+            host._tx_buffer.append(seg)
         else:
-            host.transmit(seg)
+            host.network.send_segment(seg)
 
     @property
     def is_open(self) -> bool:
@@ -647,8 +633,6 @@ class TcpConnection:
         raw = (cap._raw if cap.enabled and not cap.taps and cap.buffering
                else None)
         record = cap.record if raw is None and cap.enabled else None
-        transmit = host.transmit
-        fast_tx = self._fast_tx and "transmit" not in host.__dict__
         txbuf = host._tx_buffer
         grb = self._grb
         randbelow = host.rng._randbelow if grb is None else None
@@ -697,17 +681,14 @@ class TcpConnection:
             ack.timestamp = 0.0
             # Inlined Host.transmit (same dispatch as ``_emit``): the TX
             # capture stamp shares this capture's fast-path locals.
-            if fast_tx:
-                if raw is not None:
-                    raw.append((now, True, ack))
-                elif record is not None:
-                    record(ack, now, True)
-                if host._tx_depth:
-                    txbuf.append(ack)
-                else:
-                    host.network.send_segment(ack)
+            if raw is not None:
+                raw.append((now, True, ack))
+            elif record is not None:
+                record(ack, now, True)
+            if host._tx_depth:
+                txbuf.append(ack)
             else:
-                transmit(ack)
+                host.network.send_segment(ack)
             k += 1
             if chunks is not None:
                 chunks.append(seg.payload)

@@ -222,7 +222,6 @@ def _stamp(entries: List[BenchEntry]) -> List[BenchEntry]:
 
 
 def bench_crypto(*, size: int = 262144, repeats: int = 3,
-                 backend: Optional[str] = None,
                  only: Optional[str] = None,
                  progress: Optional[Callable[[str], None]] = None,
                  ) -> List[BenchEntry]:
@@ -231,33 +230,28 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
     Stream ciphers report ``encrypt`` and ``decrypt`` MB/s; AEADs report
     ``seal`` and ``open`` MB/s (AEAD messages are sealed in 16 KiB
     chunks, the shape of Shadowsocks AEAD tunnel traffic at max payload).
-    ``backend`` pins the crypto backend for the measurement (``fast`` or
-    ``reference``); ``only`` substring-filters cipher names.
+    ``only`` substring-filters cipher names.
 
     The AEAD record memo is disabled for the duration: this suite reports
     primitive throughput, and 16 KiB chunks would otherwise become dict
     hits after the first repeat.
     """
-    from repro.crypto import (CIPHERS, CipherKind, current_backend, new_aead,
-                              new_stream_cipher, set_backend)
+    from repro.crypto import CIPHERS, CipherKind, new_aead, new_stream_cipher
     from repro.crypto import recordcache
 
     rng = random.Random(0xBE7C4)
     data = rng.randbytes(size)
     entries: List[BenchEntry] = []
-    prev = current_backend()
     memo_was = recordcache.enabled()
     recordcache.set_enabled(False)
-    set_backend(backend or prev)
     try:
-        bname = current_backend()
         for spec in CIPHERS.values():
             if only and only not in spec.name:
                 continue
             if progress:
-                progress(f"crypto: {spec.name} [{bname}]")
+                progress(f"crypto: {spec.name}")
             key = rng.randbytes(spec.key_len)
-            params = {"size": size, "backend": bname}
+            params = {"size": size}
             if spec.kind == CipherKind.STREAM:
                 iv = rng.randbytes(spec.iv_len)
 
@@ -310,7 +304,7 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
             # bench triage sees the acceptance instead of re-deriving
             # it from the per-cipher entries.
             if progress:
-                progress(f"crypto: cfb_encrypt straggler [{bname}]")
+                progress("crypto: cfb_encrypt straggler")
             cfb_key = rng.randbytes(16)
             cfb_iv = rng.randbytes(16)
 
@@ -322,10 +316,9 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
             entries.append(BenchEntry(
                 name="crypto.cfb_encrypt", unit="MB/s",
                 value=_best_of(cfb_enc, repeats) / 1e6,
-                params={"size": size, "backend": bname,
-                        "cipher": "aes-128-cfb", "sequential": True}))
+                params={"size": size, "cipher": "aes-128-cfb",
+                        "sequential": True}))
     finally:
-        set_backend(prev)
         recordcache.set_enabled(memo_was)
     return _stamp(entries)
 

@@ -25,7 +25,6 @@ from ..analysis import (
     ProbeTally,
     VerdictRecords,
 )
-from ..analysis.pipeline import series
 from ..defense import Brdgrd, harden
 from ..experiments import (
     BlockingExperimentConfig,
@@ -52,13 +51,6 @@ from .topology import build_world
 from . import scale  # noqa: F401  (registers on import)
 
 __all__: List[str] = []  # import for side effects only
-
-# The experiment summarizers below read the streaming AnalysisPipeline
-# outputs; the *_batch twins recompute the same payload from the legacy
-# post-hoc accessors (probe log, buffered captures).  The property tests
-# in tests/property/ assert the two are byte-identical — keep them in
-# lockstep when changing either.
-_series = series
 
 
 def _analysis_payload(result) -> Dict[str, object]:
@@ -99,22 +91,6 @@ def _summarize_shadowsocks(result) -> Dict[str, object]:
         "server_probes": {name[len("server:"):]: out["count"]
                           for name, out in sorted(a.items())
                           if name.startswith("server:")},
-    }
-
-
-def _summarize_shadowsocks_batch(result) -> Dict[str, object]:
-    first, all_delays = result.replay_delays
-    return {
-        "connections": result.connections_made,
-        "flagged": result.world.gfw.flagged_connections,
-        "probes": len(result.probe_log),
-        "probes_by_type": dict(sorted(result.probes_by_type.items())),
-        "unique_prober_ips": len(set(result.prober_ips)),
-        "control_probes": result.control_probe_count,
-        "first_replay_delays": _series(first),
-        "all_replay_delays": _series(all_delays),
-        "server_probes": {name: len(probes) for name, probes
-                          in sorted(result.server_probes.items())},
     }
 
 
@@ -219,22 +195,6 @@ def _summarize_sink(result) -> Dict[str, object]:
     }
 
 
-def _summarize_sink_batch(result) -> Dict[str, object]:
-    replay_records = result.replay_records()
-    return {
-        "connections": len(result.sent_payloads),
-        "probes": len(result.probe_log),
-        "probes_by_type": dict(sorted(result.probes_by_type().items())),
-        "replays": len(replay_records),
-        "replay_lengths": _series(result.replay_lengths()),
-        "trigger_lengths": _series(result.trigger_lengths),
-        "replay_ratio_by_entropy": [
-            [center, ratio]
-            for center, ratio in result.replay_ratio_by_entropy()
-        ],
-    }
-
-
 register(Scenario(
     name="sink",
     title="§4.1 random-data experiments (Table 4, Figures 8-9)",
@@ -261,18 +221,6 @@ def _summarize_brdgrd(result) -> Dict[str, object]:
         "control_hourly_counts": control["hourly"],
         "rate_active": guarded["rate_active"],
         "rate_inactive": guarded["rate_inactive"],
-    }
-
-
-def _summarize_brdgrd_batch(result) -> Dict[str, object]:
-    active, inactive = result.window_rates()
-    return {
-        "probe_syns": len(result.probe_syn_times),
-        "control_syns": len(result.control_syn_times),
-        "hourly_counts": result.hourly_counts(),
-        "control_hourly_counts": result.hourly_counts(result.control_syn_times),
-        "rate_active": active,
-        "rate_inactive": inactive,
     }
 
 
@@ -319,28 +267,6 @@ def _summarize_blocking(result) -> Dict[str, object]:
     }
 
 
-def _summarize_blocking_batch(result) -> Dict[str, object]:
-    blocked = {e.ip: e for e in result.block_events}
-    servers = [
-        {
-            "ip": ip,
-            "profile": profile,
-            "probes": result.probes_per_server.get(ip, 0),
-            "blocked": ip in blocked,
-            "blocked_at": blocked[ip].time if ip in blocked else None,
-            "by_ip": blocked[ip].port is None if ip in blocked else None,
-        }
-        for ip, profile in sorted(result.server_profiles.items())
-    ]
-    return {
-        "servers": servers,
-        "blocked_fraction": result.blocked_fraction,
-        "blocked_profiles": sorted(result.blocked_profiles),
-        "block_events": len(result.block_events),
-        "probes": sum(result.probes_per_server.values()),
-    }
-
-
 register(Scenario(
     name="blocking",
     title="§6 blocking observations",
@@ -352,16 +278,6 @@ register(Scenario(
                 "blocking policy with sensitive windows.",
     tags=("experiment", "blocking"),
 ))
-
-
-# Batch (legacy post-hoc) summarizers by scenario name, for the property
-# tests that verify streaming == batch on identical runs.
-BATCH_SUMMARIZERS = {
-    "shadowsocks": _summarize_shadowsocks_batch,
-    "sink": _summarize_sink_batch,
-    "brdgrd": _summarize_brdgrd_batch,
-    "blocking": _summarize_blocking_batch,
-}
 
 
 # ----------------------------------------------- Tor/obfs active probing

@@ -4,21 +4,23 @@ Two invariants anchor the refactor:
 
 1. **Streaming == batch.**  Every experiment summary computed
    incrementally by the :class:`~repro.analysis.pipeline.AnalysisPipeline`
-   must be byte-identical (canonical JSON) to the legacy post-hoc
-   computation over buffered captures and probe logs.
+   must be byte-identical (canonical JSON) to the post-hoc computation
+   over buffered captures and probe logs (the batch oracle below).
 2. **Parallel merge == serial.**  Sweeping a scenario across seeds with
    a process pool — where shards exchange serialized analyzer states,
    never raw captures — must merge to the same bytes as a serial sweep.
 """
+
+from typing import Dict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import extract_probes
+from repro.analysis.pipeline import series
 from repro.runtime import get_scenario, run_sweep
 from repro.runtime.scenario import canonical_json
-from repro.runtime.scenarios import BATCH_SUMMARIZERS
 
 # Deliberately small parameterizations: every scenario in minutes-of-sim
 # rather than days, so the whole module stays tier-1 friendly.
@@ -40,7 +42,86 @@ CHEAP_OVERRIDES = {
     "ablation-defense-matrix": {"connections": 4, "duration": 1800.0},
 }
 
-EXPERIMENT_SCENARIOS = sorted(BATCH_SUMMARIZERS)
+
+# ----------------------------------------------- the batch oracle
+#
+# Each experiment's summary recomputed from the post-hoc result
+# accessors (probe log, buffered captures) instead of the streaming
+# analyzers: the oracle the streaming summaries must match.
+
+
+def _summarize_shadowsocks_batch(result) -> Dict[str, object]:
+    first, all_delays = result.replay_delays
+    return {
+        "connections": result.connections_made,
+        "flagged": result.world.gfw.flagged_connections,
+        "probes": len(result.probe_log),
+        "probes_by_type": dict(sorted(result.probes_by_type.items())),
+        "unique_prober_ips": len(set(result.prober_ips)),
+        "control_probes": result.control_probe_count,
+        "first_replay_delays": series(first),
+        "all_replay_delays": series(all_delays),
+        "server_probes": {name: len(probes) for name, probes
+                          in sorted(result.server_probes.items())},
+    }
+
+
+def _summarize_sink_batch(result) -> Dict[str, object]:
+    replay_records = result.replay_records()
+    return {
+        "connections": len(result.sent_payloads),
+        "probes": len(result.probe_log),
+        "probes_by_type": dict(sorted(result.probes_by_type().items())),
+        "replays": len(replay_records),
+        "replay_lengths": series(result.replay_lengths()),
+        "trigger_lengths": series(result.trigger_lengths),
+        "replay_ratio_by_entropy": [
+            [center, ratio]
+            for center, ratio in result.replay_ratio_by_entropy()
+        ],
+    }
+
+
+def _summarize_brdgrd_batch(result) -> Dict[str, object]:
+    active, inactive = result.window_rates()
+    return {
+        "probe_syns": len(result.probe_syn_times),
+        "control_syns": len(result.control_syn_times),
+        "hourly_counts": result.hourly_counts(),
+        "control_hourly_counts": result.hourly_counts(result.control_syn_times),
+        "rate_active": active,
+        "rate_inactive": inactive,
+    }
+
+
+def _summarize_blocking_batch(result) -> Dict[str, object]:
+    blocked = {e.ip: e for e in result.block_events}
+    servers = [
+        {
+            "ip": ip,
+            "profile": profile,
+            "probes": result.probes_per_server.get(ip, 0),
+            "blocked": ip in blocked,
+            "blocked_at": blocked[ip].time if ip in blocked else None,
+            "by_ip": blocked[ip].port is None if ip in blocked else None,
+        }
+        for ip, profile in sorted(result.server_profiles.items())
+    ]
+    return {
+        "servers": servers,
+        "blocked_fraction": result.blocked_fraction,
+        "blocked_profiles": sorted(result.blocked_profiles),
+        "block_events": len(result.block_events),
+        "probes": sum(result.probes_per_server.values()),
+    }
+
+
+BATCH_SUMMARIZERS = {
+    "shadowsocks": _summarize_shadowsocks_batch,
+    "sink": _summarize_sink_batch,
+    "brdgrd": _summarize_brdgrd_batch,
+    "blocking": _summarize_blocking_batch,
+}
 
 
 def _build(name, seed, extra=None):

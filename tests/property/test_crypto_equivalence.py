@@ -1,12 +1,16 @@
-"""Fast path vs retained reference: byte-identical for every cipher.
+"""Optimized crypto vs the textbook reference: byte-identical for every cipher.
 
 The optimized implementations (T-table AES, table-driven GHASH, batched
 CTR/CFB/ChaCha keystream, chunked Poly1305, numpy-vectorized batch
 paths) must be indistinguishable from the originals kept in
-``repro.crypto._reference`` — over random keys, nonces, message sizes,
+``tests/crypto_reference.py`` — over random keys, nonces, message sizes,
 and arbitrary chunked-vs-whole call patterns, through both the direct
-classes and the ``REPRO_CRYPTO`` backend switch.
+classes and the ``new_aead``/``new_stream_cipher`` factories.
 """
+
+import hashlib
+import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +29,10 @@ from repro.crypto import (
     new_aead,
     new_stream_cipher,
     poly1305_mac,
-    set_backend,
 )
-from repro.crypto import _reference as ref
 from repro.crypto.aes import AES
+
+from .. import crypto_reference as ref
 
 aes_keys = st.binary(min_size=16, max_size=16) | st.binary(
     min_size=24, max_size=24) | st.binary(min_size=32, max_size=32)
@@ -139,37 +143,38 @@ def test_chacha20poly1305_matches_reference(key, nonce, plaintext, aad):
     assert fast.open(nonce, sealed, aad) == plaintext
 
 
-@pytest.mark.parametrize("name", sorted(CIPHERS))
-def test_backend_switch_equivalence(name):
-    """Every registry cipher gives identical bytes through both backends."""
-    import random
-    import zlib
+# Registry name -> reference constructor, taking what the factory takes.
+REFERENCE_FACTORIES = {
+    "aes-128-gcm": ref.ReferenceAESGCM,
+    "aes-192-gcm": ref.ReferenceAESGCM,
+    "aes-256-gcm": ref.ReferenceAESGCM,
+    "chacha20-ietf-poly1305": ref.ReferenceChaCha20Poly1305,
+    "chacha20": lambda key, iv, encrypt: ref.ReferenceChaCha20DJB(key, iv),
+    "chacha20-ietf": lambda key, iv, encrypt: ref.ReferenceChaCha20(key, iv),
+    "rc4-md5": lambda key, iv, encrypt: ref.ReferenceRC4(
+        hashlib.md5(key + iv).digest()),
+    **{f"aes-{bits}-ctr": lambda key, iv, encrypt: ref.ReferenceCTRMode(key, iv)
+       for bits in (128, 192, 256)},
+    **{f"aes-{bits}-cfb": ref.ReferenceCFBMode for bits in (128, 192, 256)},
+}
 
+
+@pytest.mark.parametrize("name", sorted(CIPHERS))
+def test_factory_matches_reference(name):
+    """Every registry cipher built by its factory matches the reference."""
     rng = random.Random(zlib.crc32(name.encode()))
     spec = CIPHERS[name]
+    reference = REFERENCE_FACTORIES[name]
     key = rng.randbytes(spec.key_len)
     data = rng.randbytes(1337)
-    try:
-        if spec.kind == CipherKind.STREAM:
-            iv = rng.randbytes(spec.iv_len)
-            set_backend("fast")
-            fast_enc = new_stream_cipher(name, key, iv, True).process(data)
-            set_backend("reference")
-            ref_enc = new_stream_cipher(name, key, iv, True).process(data)
-            assert fast_enc == ref_enc
-            set_backend("fast")
-            fast_dec = new_stream_cipher(name, key, iv, False).process(fast_enc)
-            set_backend("reference")
-            ref_dec = new_stream_cipher(name, key, iv, False).process(fast_enc)
-            assert fast_dec == ref_dec == data
-        else:
-            nonce = rng.randbytes(12)
-            set_backend("fast")
-            fast_sealed = new_aead(name, key).seal(nonce, data)
-            set_backend("reference")
-            ref_sealed = new_aead(name, key).seal(nonce, data)
-            assert fast_sealed == ref_sealed
-            set_backend("fast")
-            assert new_aead(name, key).open(nonce, fast_sealed) == data
-    finally:
-        set_backend(None)
+    if spec.kind == CipherKind.STREAM:
+        iv = rng.randbytes(spec.iv_len)
+        encrypted = new_stream_cipher(name, key, iv, True).process(data)
+        assert encrypted == reference(key, iv, True).process(data)
+        decrypted = new_stream_cipher(name, key, iv, False).process(encrypted)
+        assert decrypted == reference(key, iv, False).process(encrypted) == data
+    else:
+        nonce = rng.randbytes(12)
+        sealed = new_aead(name, key).seal(nonce, data)
+        assert sealed == reference(key).seal(nonce, data)
+        assert new_aead(name, key).open(nonce, sealed) == data

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro.crypto import recordcache
-from repro.crypto._reference import ReferenceAESGCM, ReferenceChaCha20Poly1305
 from repro.crypto.aead import AESGCM, AuthenticationError, ChaCha20Poly1305
 from repro.randutil import byte_draws
+
+from .crypto_reference import ReferenceAESGCM, ReferenceChaCha20Poly1305
 
 KEY = bytes(range(32))
 NONCE = bytes(12)

@@ -175,7 +175,7 @@ def test_ttl_expired_segment_dropped_not_delivered():
     Host(sim, net, "10.0.0.1", "a")
     b = Host(sim, net, "10.0.0.2", "b")
     received = []
-    b.deliver = received.append  # bypass TCP: record raw arrivals
+    b.capture.subscribe(lambda rec: received.append(rec.segment))
     net.set_hops("10.0.0.1", "10.0.0.2", 64)
     seg = Segment(src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1,
                   dst_port=80, flags=Flags.RST, ttl=64)
@@ -193,7 +193,7 @@ def test_ttl_surviving_segment_still_delivered():
     Host(sim, net, "10.0.0.1", "a")
     b = Host(sim, net, "10.0.0.2", "b")
     received = []
-    b.deliver = received.append
+    b.capture.subscribe(lambda rec: received.append(rec.segment))
     net.set_hops("10.0.0.1", "10.0.0.2", 63)
     seg = Segment(src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1,
                   dst_port=80, flags=Flags.RST, ttl=64)
