@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import struct
 
+from . import _numpy as _nx
 from . import recordcache
-from .chacha20 import ChaCha20, chacha20_block
+from .chacha20 import _ietf_state, _keystream
 from .gcm import AESGCM, AuthenticationError, _eq
 from .poly1305 import _Poly1305
 
@@ -29,13 +30,18 @@ class ChaCha20Poly1305:
             raise ValueError(f"key must be {self.KEY_SIZE} bytes, got {len(key)}")
         self._key = key
 
-    def _poly_key(self, nonce: bytes) -> bytes:
-        return chacha20_block(self._key, 0, nonce)[:32]
+    def _record_keystream(self, nonce: bytes, nbytes: int):
+        """The Poly1305 key (block 0) and ``nbytes`` of keystream (blocks
+        1..n), from one packed ``_keystream`` call."""
+        nblocks = (nbytes + 63) // 64
+        ks = _keystream(_ietf_state(self._key, nonce), 0, nblocks + 1)
+        return ks[:32], ks[64 : 64 + nbytes]
 
-    def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+    @staticmethod
+    def _tag(poly_key: bytes, aad: bytes, ciphertext: bytes) -> bytes:
         # Stream the MAC input in pieces (aad, pad, ciphertext, pad,
         # lengths) instead of materializing the padded concatenation.
-        mac = _Poly1305(self._poly_key(nonce))
+        mac = _Poly1305(poly_key)
         mac.update(aad)
         mac.update(bytes(-len(aad) % 16))
         mac.update(ciphertext)
@@ -52,16 +58,18 @@ class ChaCha20Poly1305:
                                        sealed, aad)
 
     def _seal(self, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
-        ciphertext = ChaCha20(self._key, nonce, counter=1).encrypt(plaintext)
-        return ciphertext + self._tag(nonce, aad, ciphertext)
+        poly_key, ks = self._record_keystream(nonce, len(plaintext))
+        ciphertext = _nx.xor_bytes(plaintext, ks)
+        return ciphertext + self._tag(poly_key, aad, ciphertext)
 
     def _open(self, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
         if len(sealed) < self.TAG_SIZE:
             raise AuthenticationError("ciphertext shorter than tag")
         ciphertext, tag = sealed[: -self.TAG_SIZE], sealed[-self.TAG_SIZE :]
-        if not _eq(tag, self._tag(nonce, aad, ciphertext)):
+        poly_key, ks = self._record_keystream(nonce, len(ciphertext))
+        if not _eq(tag, self._tag(poly_key, aad, ciphertext)):
             raise AuthenticationError("Poly1305 tag mismatch")
-        return ChaCha20(self._key, nonce, counter=1).decrypt(ciphertext)
+        return _nx.xor_bytes(ciphertext, ks)
 
 
 _AEADS = {

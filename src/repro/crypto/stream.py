@@ -16,8 +16,7 @@ import hashlib
 import struct
 
 from . import _numpy as _nx
-from .chacha20 import (_CONSTANTS, ChaCha20, _KeystreamCipher, _quarter_round,
-                       _run_rounds)
+from .chacha20 import _CONSTANTS, ChaCha20, _KeystreamCipher
 from .modes import CFBMode, CTRMode
 
 __all__ = ["RC4", "ChaCha20DJB", "new_stream_cipher"]
@@ -60,54 +59,21 @@ class RC4:
     decrypt = process
 
 
-def _chacha20_block_djb(key: bytes, counter: int, nonce: bytes) -> bytes:
-    """Original ChaCha20 block: 64-bit counter, 64-bit nonce."""
-    init = list(_CONSTANTS)
-    init.extend(struct.unpack("<8L", key))
-    init.append(counter & 0xFFFFFFFF)
-    init.append((counter >> 32) & 0xFFFFFFFF)
-    init.extend(struct.unpack("<2L", nonce))
-    state = list(init)
-    for _ in range(10):
-        _quarter_round(state, 0, 4, 8, 12)
-        _quarter_round(state, 1, 5, 9, 13)
-        _quarter_round(state, 2, 6, 10, 14)
-        _quarter_round(state, 3, 7, 11, 15)
-        _quarter_round(state, 0, 5, 10, 15)
-        _quarter_round(state, 1, 6, 11, 12)
-        _quarter_round(state, 2, 7, 8, 13)
-        _quarter_round(state, 3, 4, 9, 14)
-    return struct.pack("<16L", *((s + i) & 0xFFFFFFFF for s, i in zip(state, init)))
-
-
 class ChaCha20DJB(_KeystreamCipher):
-    """Incremental original-variant ChaCha20 (8-byte nonce)."""
+    """Incremental original-variant ChaCha20 (8-byte nonce).
+
+    The block counter is 64 bits wide and fills words 12-13.
+    """
+
+    _WIDE = True
 
     def __init__(self, key: bytes, nonce: bytes):
         if len(key) != 32:
             raise ValueError(f"ChaCha20 key must be 32 bytes, got {len(key)}")
         if len(nonce) != 8:
             raise ValueError(f"DJB ChaCha20 nonce must be 8 bytes, got {len(nonce)}")
-        super().__init__()
-        self._init = (
-            list(_CONSTANTS) + list(struct.unpack("<8L", key)) + [0, 0]
-            + list(struct.unpack("<2L", nonce))
-        )
-        self._counter = 0
-
-    def _blocks(self, nblocks: int) -> bytes:
-        counter = self._counter
-        self._counter += nblocks
-        if _nx.HAVE_NUMPY and nblocks >= _nx.CHACHA_MIN_BLOCKS:
-            return _nx.chacha_blocks(self._init, counter, nblocks, djb=True)
-        init = self._init
-        parts = []
-        for i in range(nblocks):
-            c = counter + i
-            init[12] = c & 0xFFFFFFFF
-            init[13] = (c >> 32) & 0xFFFFFFFF
-            parts.append(_run_rounds(init))
-        return b"".join(parts)
+        super().__init__([*_CONSTANTS, *struct.unpack("<8L", key), 0, 0,
+                          *struct.unpack("<2L", nonce)], 0)
 
 
 def new_stream_cipher(name: str, key: bytes, iv: bytes, encrypt: bool):

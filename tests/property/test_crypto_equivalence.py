@@ -5,19 +5,23 @@ CTR/CFB/ChaCha keystream, chunked Poly1305, numpy-vectorized batch
 paths) must be indistinguishable from the originals kept in
 ``tests/crypto_reference.py`` — over random keys, nonces, message sizes,
 and arbitrary chunked-vs-whole call patterns, through both the direct
-classes and the ``new_aead``/``new_stream_cipher`` factories.
+classes and the ``new_aead``/``new_stream_cipher`` factories.  Pinned
+examples add the sizes random draws never reach: lane and block edges,
+the largest AEAD chunk and both sides of the numpy cut-over.
 """
 
 import hashlib
 import random
+import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
     AESGCM,
+    AuthenticationError,
     CFBMode,
     CIPHERS,
     CTRMode,
@@ -30,7 +34,9 @@ from repro.crypto import (
     new_stream_cipher,
     poly1305_mac,
 )
+from repro.crypto._numpy import CHACHA_MIN_BLOCKS
 from repro.crypto.aes import AES
+from repro.crypto.chacha20 import _keystream
 
 from .. import crypto_reference as ref
 
@@ -58,6 +64,42 @@ def _chunked(data, fractions):
 
 def _run_chunked(cipher, chunks):
     return b"".join(cipher.process(c) for c in chunks)
+
+
+def _message(size):
+    return bytes(i % 251 for i in range(size))
+
+
+# Sizes random ``messages`` never reach: one block and a byte either
+# side, the largest AEAD chunk (0x3FFF), and one block either side of
+# the numpy cut-over.  ``extra_blocks`` is what the cipher adds to the
+# message's blocks: an AEAD record's Poly1305 key takes one.
+def _edge_sizes(extra_blocks=0):
+    cut = CHACHA_MIN_BLOCKS - extra_blocks
+    return (0, 1, 63, 64, 65, 0x3FFF, 64 * (cut - 1), 64 * (cut + 1))
+
+
+def _at_sizes(sizes, arg, **fixed):
+    """One hypothesis ``@example`` per size: ``fixed`` plus ``arg`` of that size."""
+    def decorate(test):
+        for size in sizes:
+            test = example(**fixed, **{arg: _message(size)})(test)
+        return test
+    return decorate
+
+
+def _check_real_open(fast, slow, nonce, sealed, aad, plaintext):
+    """``_open`` verifies and decrypts for real (after ``seal`` the record
+    memo answers ``open``) and rejects one flipped tag or ciphertext byte."""
+    assert fast._open(nonce, sealed, aad) == slow.open(nonce, sealed, aad) == plaintext
+    flips = [len(sealed) - 1 - len(plaintext) % 16]
+    if plaintext:
+        flips.append(len(plaintext) // 2)
+    for pos in flips:
+        tampered = bytearray(sealed)
+        tampered[pos] ^= 0x01
+        with pytest.raises(AuthenticationError):
+            fast._open(nonce, bytes(tampered), aad)
 
 
 @given(key=aes_keys, block=st.binary(min_size=16, max_size=16))
@@ -88,6 +130,8 @@ def test_cfb_matches_reference_chunked(key, iv, data, fractions, encrypt):
 
 
 @given(key=keys256, nonce=nonces12, data=messages, fractions=cuts)
+@_at_sizes(_edge_sizes(), "data", key=bytes(range(32)), nonce=bytes(range(12)),
+          fractions=[0.5])
 @settings(max_examples=30, deadline=None)
 def test_chacha20_ietf_matches_reference_chunked(key, nonce, data, fractions):
     chunks = _chunked(data, fractions)
@@ -98,12 +142,36 @@ def test_chacha20_ietf_matches_reference_chunked(key, nonce, data, fractions):
 
 
 @given(key=keys256, nonce=nonces8, data=messages, fractions=cuts)
+@_at_sizes(_edge_sizes(), "data", key=bytes(range(32)), nonce=bytes(range(8)),
+          fractions=[])
 @settings(max_examples=30, deadline=None)
 def test_chacha20_djb_matches_reference_chunked(key, nonce, data, fractions):
     chunks = _chunked(data, fractions)
     fast = _run_chunked(ChaCha20DJB(key, nonce), chunks)
     slow = _run_chunked(ref.ReferenceChaCha20DJB(key, nonce), chunks)
     assert fast == slow
+
+
+@pytest.mark.parametrize("nblocks", [5, CHACHA_MIN_BLOCKS + 1])
+def test_chacha20_ietf_counter_wraps_like_reference(nblocks):
+    """Word 12 wraps modulo 2^32 inside one batch."""
+    key, nonce = bytes(range(32)), bytes(range(12))
+    data = _message(64 * nblocks)
+    counter = 2**32 - 2
+    assert (ChaCha20(key, nonce, counter=counter).process(data)
+            == ref.ReferenceChaCha20(key, nonce, counter=counter).process(data))
+
+
+@pytest.mark.parametrize("nblocks", [4, CHACHA_MIN_BLOCKS + 1])
+def test_chacha20_djb_counter_carries_into_word_13(nblocks):
+    """The DJB variant's 64-bit counter carries from word 12 into 13."""
+    key, nonce = bytes(range(32)), bytes(range(8))
+    init = [*ref._CONSTANTS, *struct.unpack("<8L", key), 0, 0,
+            *struct.unpack("<2L", nonce)]
+    counter = 2**32 - 2
+    expected = b"".join(ref._chacha20_block_djb(key, counter + i, nonce)
+                        for i in range(nblocks))
+    assert _keystream(init, counter, nblocks, wide=True) == expected
 
 
 @given(key=st.binary(min_size=1, max_size=64), data=messages, fractions=cuts)
@@ -116,12 +184,15 @@ def test_rc4_matches_reference_chunked(key, data, fractions):
 
 @given(key=aes_keys, nonce=nonces12, plaintext=messages,
        aad=st.binary(max_size=80))
+@_at_sizes((0, 1, 63, 64, 65, 0x3FFF), "plaintext", key=bytes(range(16)),
+          nonce=bytes(range(12)), aad=b"aad")
 @settings(max_examples=30, deadline=None)
 def test_gcm_matches_reference(key, nonce, plaintext, aad):
     fast, slow = AESGCM(key), ref.ReferenceAESGCM(key)
     sealed = fast.seal(nonce, plaintext, aad)
     assert sealed == slow.seal(nonce, plaintext, aad)
     assert fast.open(nonce, sealed, aad) == plaintext
+    _check_real_open(fast, slow, nonce, sealed, aad, plaintext)
     # Reuse the same object: exercises the lazy GHASH-table upgrade on
     # cumulative bytes, which must not change any output.
     assert fast.seal(nonce, plaintext, aad) == sealed
@@ -135,12 +206,15 @@ def test_poly1305_matches_reference(key, message):
 
 @given(key=keys256, nonce=nonces12, plaintext=messages,
        aad=st.binary(max_size=80))
+@_at_sizes(_edge_sizes(extra_blocks=1), "plaintext", key=bytes(range(32)),
+          nonce=bytes(range(12)), aad=b"aad")
 @settings(max_examples=30, deadline=None)
 def test_chacha20poly1305_matches_reference(key, nonce, plaintext, aad):
     fast, slow = ChaCha20Poly1305(key), ref.ReferenceChaCha20Poly1305(key)
     sealed = fast.seal(nonce, plaintext, aad)
     assert sealed == slow.seal(nonce, plaintext, aad)
     assert fast.open(nonce, sealed, aad) == plaintext
+    _check_real_open(fast, slow, nonce, sealed, aad, plaintext)
 
 
 # Registry name -> reference constructor, taking what the factory takes.
@@ -178,3 +252,5 @@ def test_factory_matches_reference(name):
         sealed = new_aead(name, key).seal(nonce, data)
         assert sealed == reference(key).seal(nonce, data)
         assert new_aead(name, key).open(nonce, sealed) == data
+        _check_real_open(new_aead(name, key), reference(key), nonce, sealed,
+                         b"", data)

@@ -92,3 +92,17 @@ def test_aead_rejects_tampering():
 def test_aead_rejects_short_input():
     with pytest.raises(AuthenticationError):
         ChaCha20Poly1305(bytes(32)).open(bytes(12), b"short")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ChaCha20(bytes(31), bytes(12)),
+    lambda: ChaCha20(bytes(32), bytes(8)),
+    lambda: ChaCha20DJB(bytes(32), bytes(12)),
+    lambda: chacha20_block(bytes(32), 0, bytes(11)),
+    lambda: ChaCha20Poly1305(bytes(16)),
+    lambda: ChaCha20Poly1305(bytes(32))._seal(bytes(8), b"x", b""),
+    lambda: ChaCha20Poly1305(bytes(32))._open(bytes(8), bytes(17), b""),
+])
+def test_chacha_rejects_bad_key_and_nonce_lengths(build):
+    with pytest.raises(ValueError):
+        build()
