@@ -31,8 +31,10 @@ class ChaCha20Poly1305:
         self._key = key
 
     def _record_keystream(self, nonce: bytes, nbytes: int):
-        """The Poly1305 key (block 0) and ``nbytes`` of keystream (blocks
-        1..n), from one packed ``_keystream`` call."""
+        """The Poly1305 key (block 0) and ``nbytes`` of keystream (blocks 1..n).
+
+        One ``_keystream`` call computes both, for about the cost of a block.
+        """
         nblocks = (nbytes + 63) // 64
         ks = _keystream(_ietf_state(self._key, nonce), 0, nblocks + 1)
         return ks[:32], ks[64 : 64 + nbytes]
