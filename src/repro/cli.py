@@ -265,6 +265,7 @@ def _parse_shards(text: Optional[str]) -> Optional[int]:
 def _cmd_run(args) -> int:
     from .runtime import (
         JobSpec,
+        JobSpecError,
         ResultCache,
         ShardingError,
         all_scenarios,
@@ -295,18 +296,23 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
         return 2
 
+    try:
+        spec = JobSpec(
+            scenario=args.scenario,
+            seeds=tuple(range(args.seed_start,
+                              args.seed_start + max(args.seeds, 1))),
+            overrides=overrides,
+            shards=shards,
+            jobs=args.jobs,
+            use_cache=not args.no_cache,
+        )
+    except JobSpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_root())
-    spec = JobSpec(
-        scenario=args.scenario,
-        seeds=tuple(range(args.seed_start,
-                          args.seed_start + max(args.seeds, 1))),
-        overrides=overrides,
-        shards=shards,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-    )
 
     try:
         job = _run_profiled(args.cprofile,

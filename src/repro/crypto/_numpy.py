@@ -22,9 +22,7 @@ __all__ = [
     "HAVE_NUMPY",
     "aes_batch_encrypt",
     "aes_keystream",
-    "build_ghash_tables",
     "chacha_blocks",
-    "ghash_chunk_sums",
     "xor_bytes",
 ]
 
@@ -49,16 +47,6 @@ XOR_MIN_BYTES = 2048
 # numpy time on a 2-core x86 host: 0.6 at 256 blocks, 0.9 at 384, 1.0
 # at 512, 1.5 at 768.
 CHACHA_MIN_BLOCKS = 512
-
-# Full GHASH blocks in a single update below which the scalar per-byte
-# table loop wins (the vector path pays a fixed gather/convert cost).
-GHASH_MIN_BLOCKS = 128
-
-# Blocks folded per vector GHASH chunk: the serial Horner dependency is
-# amortized over this many independent products.
-GHASH_STRIDE = 8
-
-_M64 = 0xFFFFFFFFFFFFFFFF
 
 _M32 = 0xFFFFFFFF
 
@@ -218,84 +206,6 @@ def chacha_blocks(init, counter: int, nblocks: int, djb: bool) -> bytes:
     for i in range(16):
         out[:, i] = x[i] + state[i]
     return out.tobytes()
-
-
-def build_ghash_tables(h_tables):
-    """Vector gather tables for stride-8 GHASH from the scalar H tables.
-
-    ``h_tables`` is the 16x256 per-byte-position product table of H
-    (python ints, ``gcm._build_h_tables``).  Returns ``(hi, lo, h8)``:
-    two uint64 arrays of shape (GHASH_STRIDE, 16, 256) whose power axis
-    holds the tables of H^8..H^1 — chunk position ``q`` multiplies by
-    H^(8-q) — split into high/low 64-bit halves so the XOR reductions
-    stay in native integer lanes, plus the scalar 16x256 tables of H^8
-    (python ints) for the per-chunk Horner fold.  ``None`` when numpy is
-    unavailable.
-
-    The power tables are derived by chained elementwise multiply-by-H:
-    ``T_{p+1}[pos][b] = T_p[pos][b] * H``, evaluated as 16 byte-plane
-    gathers through the H tables per step — exact GF(2^128) arithmetic,
-    so every downstream digest is byte-identical to the scalar path.
-    """
-    if np is None:
-        return None
-    flat = [v for row in h_tables for v in row]
-    v1_hi = np.array([v >> 64 for v in flat], dtype=np.uint64).reshape(16, 256)
-    v1_lo = np.array([v & _M64 for v in flat], dtype=np.uint64).reshape(16, 256)
-
-    def mul_h(hi, lo):
-        acc_hi = np.zeros(hi.shape, dtype=np.uint64)
-        acc_lo = np.zeros(lo.shape, dtype=np.uint64)
-        ff = np.uint64(0xFF)
-        for k in range(8):
-            idx = (hi >> np.uint64(8 * (7 - k))) & ff
-            acc_hi ^= v1_hi[k][idx]
-            acc_lo ^= v1_lo[k][idx]
-            idx = (lo >> np.uint64(8 * (7 - k))) & ff
-            acc_hi ^= v1_hi[k + 8][idx]
-            acc_lo ^= v1_lo[k + 8][idx]
-        return acc_hi, acc_lo
-
-    powers = [(v1_hi, v1_lo)]
-    for _ in range(GHASH_STRIDE - 1):
-        powers.append(mul_h(*powers[-1]))
-    # powers[p] holds the tables of H^(p+1); stack highest power first.
-    hi = np.ascontiguousarray(
-        np.stack([powers[GHASH_STRIDE - 1 - q][0] for q in range(GHASH_STRIDE)]))
-    lo = np.ascontiguousarray(
-        np.stack([powers[GHASH_STRIDE - 1 - q][1] for q in range(GHASH_STRIDE)]))
-    h8_hi, h8_lo = powers[GHASH_STRIDE - 1]
-    h8 = [[(a << 64) | b for a, b in zip(hrow, lrow)]
-          for hrow, lrow in zip(h8_hi.tolist(), h8_lo.tolist())]
-    return hi, lo, h8
-
-
-# Broadcast index grids for the (power, position, byte) gather below.
-_GH_Q = None
-_GH_P = None
-
-
-def ghash_chunk_sums(hi, lo, data, m):
-    """Per-chunk partial GHASH sums over ``m`` 128-byte chunks of ``data``.
-
-    Chunk ``j``'s sum is ``XOR_q block[8j+q] * H^(8-q)`` — every product
-    independent of the running GHASH state, so all ``m * 8`` block
-    multiplies collapse into one gather over the stacked power tables
-    plus an XOR reduction.  Returns ``m`` python ints; the caller folds
-    them serially with ``y = y * H^8 ^ sum`` (one scalar table multiply
-    per chunk instead of eight).
-    """
-    global _GH_Q, _GH_P
-    if _GH_Q is None:
-        _GH_Q = np.arange(GHASH_STRIDE, dtype=np.intp).reshape(1, GHASH_STRIDE, 1)
-        _GH_P = np.arange(16, dtype=np.intp).reshape(1, 1, 16)
-    idx = np.frombuffer(data, dtype=np.uint8,
-                        count=m * 16 * GHASH_STRIDE).reshape(m, GHASH_STRIDE, 16)
-    s_hi = np.bitwise_xor.reduce(
-        hi[_GH_Q, _GH_P, idx].reshape(m, 16 * GHASH_STRIDE), axis=1)
-    s_lo = np.bitwise_xor.reduce(
-        lo[_GH_Q, _GH_P, idx].reshape(m, 16 * GHASH_STRIDE), axis=1)
-    return [(a << 64) | b for a, b in zip(s_hi.tolist(), s_lo.tolist())]
 
 
 def xor_bytes(a, b) -> bytes:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import struct
 
-from . import _numpy as _vec
 from ._numpy import xor_bytes
 from . import recordcache
 from .aes import AES
@@ -105,11 +104,6 @@ class AESGCM:
         self._aes = AES(key)
         self._h = int.from_bytes(self._aes.encrypt_block(bytes(16)), "big")
         self._tables = None
-        # Vectorized whole-record GHASH (numpy): ``None`` = not built
-        # yet (built lazily on the first large-enough update once the
-        # scalar tables exist); any other falsy value pins the session
-        # to the scalar path (tests use ``False`` to force it).
-        self._vtables = None
         self._hashed = 0
 
     def _ghash(self, data: bytes) -> int:
@@ -133,36 +127,9 @@ class AESGCM:
                 block = data[full:].ljust(16, b"\x00")
                 y = _gf_mult(y ^ int.from_bytes(block, "big"), h)
             return y
-        start = 0
-        if full >= _vec.GHASH_MIN_BLOCKS * 16 and _vec.HAVE_NUMPY:
-            if self._vtables is None:
-                self._vtables = _vec.build_ghash_tables(self._tables)
-            if self._vtables:
-                # Whole-record vector path: chunk the data into stride-8
-                # block groups, gather every chunk's partial sum in one
-                # numpy pass, then fold the sums with a short Horner
-                # loop — one multiply by H^8 per chunk.  Exact field
-                # arithmetic throughout, byte-identical to the scalar
-                # loop below (property-tested).
-                vhi, vlo, h8 = self._vtables
-                chunk_bytes = 16 * _vec.GHASH_STRIDE
-                m = full // chunk_bytes
-                (e0, e1, e2, e3, e4, e5, e6, e7,
-                 e8, e9, e10, e11, e12, e13, e14, e15) = h8
-                for s in _vec.ghash_chunk_sums(vhi, vlo, data, m):
-                    if y:
-                        b = y.to_bytes(16, "big")
-                        y = (e0[b[0]] ^ e1[b[1]] ^ e2[b[2]] ^ e3[b[3]]
-                             ^ e4[b[4]] ^ e5[b[5]] ^ e6[b[6]] ^ e7[b[7]]
-                             ^ e8[b[8]] ^ e9[b[9]] ^ e10[b[10]] ^ e11[b[11]]
-                             ^ e12[b[12]] ^ e13[b[13]] ^ e14[b[14]]
-                             ^ e15[b[15]]) ^ s
-                    else:
-                        y = s
-                start = m * chunk_bytes
         (t0, t1, t2, t3, t4, t5, t6, t7,
          t8, t9, t10, t11, t12, t13, t14, t15) = self._tables
-        for i in range(start, full, 16):
+        for i in range(0, full, 16):
             b = (y ^ int.from_bytes(data[i : i + 16], "big")).to_bytes(16, "big")
             y = (t0[b[0]] ^ t1[b[1]] ^ t2[b[2]] ^ t3[b[3]]
                  ^ t4[b[4]] ^ t5[b[5]] ^ t6[b[6]] ^ t7[b[7]]

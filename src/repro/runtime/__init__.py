@@ -8,16 +8,17 @@
   structured :class:`RunResult` schema;
 * :mod:`~repro.runtime.cache` — the on-disk result cache plus run
   manifests, keyed on (scenario, params, seed, code fingerprint);
-* :mod:`~repro.runtime.runner` — serial/parallel multi-seed execution
-  with deterministic merge;
+* :mod:`~repro.runtime.runner` — :class:`JobSpec` execution: one unit
+  of work (scenario, seed, shard) fanned out over seeds × shards,
+  serial or parallel, with deterministic merge;
 * :mod:`~repro.runtime.scenarios` — builtin registrations (imported
   lazily the first time the registry is consulted).
 
 Quick use::
 
-    from repro.runtime import run_scenario, run_sweep
+    from repro.runtime import JobSpec, execute_job, run_scenario
     result = run_scenario("sink", seed=3, overrides={"connections": 500})
-    sweep = run_sweep("brdgrd", seeds=range(8), jobs=4)
+    sweep = execute_job(JobSpec("brdgrd", seeds=tuple(range(8)), jobs=4))
 """
 
 from .cache import ResultCache, code_fingerprint, default_cache_root
@@ -34,13 +35,11 @@ from .runner import (
     JobSpec,
     JobSpecError,
     ShardedResult,
-    SweepResult,
     execute_job,
     merge_results,
     run_artifact,
     run_scenario,
     run_sharded,
-    run_sweep,
 )
 from .scenario import (
     RunResult,
@@ -73,7 +72,6 @@ __all__ = [
     "ShardedResult",
     "Sharder",
     "ShardingError",
-    "SweepResult",
     "all_scenarios",
     "canonical_json",
     "canonical_params",
@@ -92,7 +90,6 @@ __all__ = [
     "run_artifact",
     "run_scenario",
     "run_sharded",
-    "run_sweep",
     "sanitize_record",
     "scenario_names",
     "shard_of",

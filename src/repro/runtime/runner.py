@@ -1,33 +1,43 @@
 """Execute ``(scenario, params, seed)`` jobs: serial, parallel, cached.
 
-The runner is the one place simulation work is launched from.  It
+The runner is the one place simulation work is launched from.  Every
+entry point is built from the same three pieces:
 
-* resolves the scenario in the registry and instantiates typed params;
-* consults the on-disk :class:`~repro.runtime.cache.ResultCache`
-  (keyed on scenario + canonical params + seed + code fingerprint) and
-  skips the simulation entirely on a hit;
-* on a miss, builds the experiment, times it, snapshots the
-  instrumentation bus, summarizes the artifact into a structured
-  :class:`~repro.runtime.scenario.RunResult`, and writes result +
-  manifest back to the cache;
-* fans multi-seed sweeps out across processes with
-  :class:`concurrent.futures.ProcessPoolExecutor` while keeping result
-  order (and therefore the merged output) byte-identical to a serial
-  run.
+* the **unit** (:func:`_execute`) — one scenario, one seed and an
+  optional shard stamp.  It resolves the scenario in the registry,
+  consults the on-disk :class:`~repro.runtime.cache.ResultCache` (keyed
+  on scenario + canonical params + seed + code fingerprint) and skips
+  the simulation on a hit; on a miss it builds the experiment, times
+  it, snapshots the instrumentation bus, summarizes the artifact into a
+  structured :class:`~repro.runtime.scenario.RunResult`, and writes
+  result + manifest back to the cache;
+* the **shard planner** (:func:`_plan_shards`) — splits one seed of a
+  sharded run into per-shard units, or answers it from the cached
+  merged result;
+* the **fan-out** (:func:`_fan_out`) — runs a list of units in-process
+  or across one :class:`concurrent.futures.ProcessPoolExecutor`,
+  returning results in submission order.
+
+:func:`execute_job` plans every (seed, shard) unit of a
+:class:`JobSpec`, runs them all through one fan-out, merges shards per
+seed and seeds with :func:`merge_results`.  :func:`run_scenario`,
+:func:`run_artifact` and :func:`run_sharded` are single-seed views over
+the same pieces.
 
 Determinism contract: a scenario's builder must derive all randomness
 from its params' ``seed`` field, which every harness in this repository
-already does — so serial and parallel execution of the same job set
-produce identical :meth:`SweepResult.canonical_bytes`.
+already does — so serial, parallel and sharded execution of the same
+job produce identical :meth:`JobResult.canonical_bytes`.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cache import ResultCache, code_fingerprint
 from .scenario import RunResult, Scenario, canonical_json, canonical_params, get_scenario
@@ -38,24 +48,33 @@ __all__ = [
     "JobSpec",
     "JobSpecError",
     "ShardedResult",
-    "SweepResult",
     "execute_job",
     "merge_results",
     "run_artifact",
     "run_scenario",
     "run_sharded",
-    "run_sweep",
 ]
+
+# One unit of work: (scenario, seed, overrides, shard stamp or None).
+_Unit = Tuple[str, int, Mapping[str, Any], Optional[Dict[str, Any]]]
 
 
 # ------------------------------------------------------------ single jobs
+
+
+def _stamped(params: Mapping[str, Any],
+             stamp: Mapping[str, Any]) -> Dict[str, Any]:
+    """Canonical ``params`` with execution-identity keys merged in."""
+    merged = dict(params)
+    merged.update(json.loads(canonical_json(dict(stamp))))
+    return {key: merged[key] for key in sorted(merged)}
 
 
 def _execute(name: str, seed: int, overrides: Optional[Mapping[str, Any]],
              cache: Optional[ResultCache], use_cache: bool,
              extra_params: Optional[Mapping[str, Any]] = None,
              ) -> Tuple[RunResult, Optional[Any]]:
-    """Run one job; returns (result, artifact) — artifact None on cache hit.
+    """Run one unit; returns (result, artifact) — artifact None on cache hit.
 
     ``extra_params`` are execution-identity keys (e.g. the shard stamp
     ``{"shards": {"count": N, "index": k}}``) merged into the canonical
@@ -68,9 +87,7 @@ def _execute(name: str, seed: int, overrides: Optional[Mapping[str, Any]],
     params = scenario.instantiate(seed, overrides)
     params_dict = canonical_params(params)
     if extra_params:
-        merged = dict(params_dict)
-        merged.update(json.loads(canonical_json(dict(extra_params))))
-        params_dict = {key: merged[key] for key in sorted(merged)}
+        params_dict = _stamped(params_dict, extra_params)
     fingerprint = code_fingerprint()
 
     if cache is not None and use_cache:
@@ -127,32 +144,46 @@ def run_artifact(name: str, seed: int = 0,
     return _execute(name, seed, overrides, cache, use_cache=False)
 
 
-# ----------------------------------------------------------------- sweeps
+# ---------------------------------------------------------------- fan-out
 
 
-@dataclass
-class SweepResult:
-    """Ordered results of a multi-seed sweep plus cache/wall accounting."""
+def _unit_worker(job: Tuple[_Unit, Optional[str], bool]) -> Dict[str, Any]:
+    """Top-level (picklable) worker: one unit in a pool process."""
+    (name, seed, overrides, stamp), cache_root, use_cache = job
+    cache = ResultCache(cache_root) if cache_root is not None else None
+    result, _ = _execute(name, seed, overrides, cache, use_cache,
+                         extra_params=stamp)
+    return result.to_json_dict()
 
-    scenario: str
-    results: List[RunResult]
-    wall_time: float
-    jobs: int
 
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.results if r.cache_hit)
+def _fan_out(units: Sequence[_Unit], jobs: int,
+             cache: Optional[ResultCache], use_cache: bool,
+             ) -> Tuple[List[RunResult], int]:
+    """Run ``units``; returns their results and the processes that ran them.
 
-    @property
-    def cache_misses(self) -> int:
-        return len(self.results) - self.cache_hits
-
-    def merged(self) -> Dict[str, Any]:
-        return merge_results(self.results)
-
-    def canonical_bytes(self) -> bytes:
-        """Deterministic bytes of the merged sweep (timing excluded)."""
-        return canonical_json(self.merged()).encode("utf-8")
+    ``jobs <= 1`` (or a single unit) runs in-process, one unit after
+    another, and counts as one process.  Otherwise one pool of
+    ``min(jobs, len(units))`` processes runs every unit; results come
+    back in submission order regardless of completion order, so what
+    callers merge is identical either way.
+    """
+    workers = min(jobs, len(units))
+    if workers <= 1:
+        return [_execute(name, seed, overrides, cache, use_cache,
+                         extra_params=stamp)[0]
+                for name, seed, overrides, stamp in units], 1
+    cache_root = str(cache.root) if cache is not None else None
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        results = [RunResult.from_json_dict(d) for d in pool.map(
+            _unit_worker, [(unit, cache_root, use_cache) for unit in units])]
+    if cache is not None:
+        # Fold worker-side cache traffic into this process's tallies.
+        for result in results:
+            if result.cache_hit:
+                cache.hits += 1
+            else:
+                cache.misses += 1
+    return results, workers
 
 
 def merge_results(results: Sequence[RunResult]) -> Dict[str, Any]:
@@ -201,62 +232,6 @@ def merge_results(results: Sequence[RunResult]) -> Dict[str, Any]:
     }
 
 
-def _sweep_worker(job: Tuple[str, int, Optional[Dict[str, Any]],
-                             Optional[str], bool]) -> Dict[str, Any]:
-    """Top-level (picklable) worker: one job in a pool process."""
-    name, seed, overrides, cache_root, use_cache = job
-    cache = ResultCache(cache_root) if cache_root is not None else None
-    result, _ = _execute(name, seed, overrides, cache, use_cache)
-    return result.to_json_dict()
-
-
-def run_sweep(name: str, seeds: Iterable[int],
-              overrides: Optional[Mapping[str, Any]] = None, *,
-              jobs: int = 1,
-              cache: Optional[ResultCache] = None,
-              use_cache: bool = True) -> SweepResult:
-    """Run a scenario across many seeds, optionally fanned out over processes.
-
-    ``jobs=1`` runs serially in-process.  ``jobs>1`` uses a process pool;
-    results come back in seed-submission order regardless of completion
-    order, so the merged output is identical either way.
-    """
-    seed_list = list(seeds)
-    overrides = dict(overrides or {})
-    # Fail fast on unknown scenarios; canonicalize aliases so the sweep,
-    # its per-seed results, and the cache keys all carry one name.
-    name = get_scenario(name).name
-    started = time.perf_counter()
-
-    if jobs <= 1 or len(seed_list) <= 1:
-        results = [
-            _execute(name, seed, overrides, cache, use_cache)[0]
-            for seed in seed_list
-        ]
-    else:
-        cache_root = str(cache.root) if cache is not None else None
-        job_args = [(name, seed, overrides, cache_root, use_cache)
-                    for seed in seed_list]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            # pool.map preserves submission order deterministically.
-            results = [RunResult.from_json_dict(d)
-                       for d in pool.map(_sweep_worker, job_args)]
-        if cache is not None:
-            # Fold worker-side cache traffic into this process's tallies.
-            for result in results:
-                if result.cache_hit:
-                    cache.hits += 1
-                else:
-                    cache.misses += 1
-
-    return SweepResult(
-        scenario=name,
-        results=results,
-        wall_time=time.perf_counter() - started,
-        jobs=jobs,
-    )
-
-
 # ------------------------------------------------------- sharded execution
 
 
@@ -268,7 +243,8 @@ class ShardedResult:
     carry the shard layout (``{"shards": {"count", "layout"}}``) so the
     cache can never confuse it with a serial run.  ``shards`` holds the
     per-shard results (empty when ``merged`` came straight from the
-    cache); ``layout`` maps shard index → owned unit labels.
+    cache); ``layout`` maps shard index → owned unit labels; ``jobs``
+    is the number of processes the shards ran on (0 when cached).
     """
 
     scenario: str
@@ -277,11 +253,6 @@ class ShardedResult:
     layout: List[List[str]]
     wall_time: float
     jobs: int
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self.merged.cache_hit) + sum(
-            1 for r in self.shards if r.cache_hit)
 
     def serial_identity(self) -> Dict[str, Any]:
         """The merged identity with the shard stamp stripped.
@@ -299,7 +270,9 @@ class ShardedResult:
         return canonical_json(self.serial_identity()).encode("utf-8")
 
 
-def _require_sharder(scenario: Scenario) -> Sharder:
+def _sharded(name: str, shards: int) -> Tuple[Scenario, Sharder]:
+    """Resolve a scenario for a ``shards``-way run, or raise ShardingError."""
+    scenario = get_scenario(name)
     sharder = scenario.sharder
     if sharder is None:
         from .scenario import all_scenarios
@@ -311,7 +284,49 @@ def _require_sharder(scenario: Scenario) -> Sharder:
             f"scenario {scenario.name!r} is not shardable "
             f"(no flow partitioner declared); shardable scenarios: {shardable}"
         )
-    return sharder
+    if shards < 1:
+        raise ShardingError(f"shard count must be >= 1, got {shards}")
+    return scenario, sharder
+
+
+@dataclass
+class _ShardPlan:
+    """One seed of a sharded run: its shard units, or its cached merge."""
+
+    seed: int
+    params: Dict[str, Any]      # canonical params stamped with the layout
+    labels: List[str]
+    layout: List[List[str]]
+    units: List[_Unit]
+    cached: Optional[RunResult]
+
+
+def _plan_shards(scenario: Scenario, sharder: Sharder, seed: int,
+                 overrides: Mapping[str, Any], shards: int,
+                 cache: Optional[ResultCache], use_cache: bool) -> _ShardPlan:
+    """Partition one seed's units into shards, unless its merge is cached.
+
+    Each non-empty shard becomes one unit: the scenario restricted to
+    the shard's labels, stamped ``{"shards": {"count", "index"}}``.
+    """
+    params = scenario.instantiate(seed, overrides)
+    labels = list(sharder.units(params))
+    if not labels:
+        raise ShardingError(
+            f"scenario {scenario.name!r} has no shardable units under these params")
+    layout = partition(labels, shards)
+    stamped = _stamped(canonical_params(params),
+                       {"shards": {"count": shards, "layout": layout}})
+    if cache is not None and use_cache:
+        cached = cache.load(scenario.name, stamped, seed, code_fingerprint())
+        if cached is not None:
+            return _ShardPlan(seed, stamped, labels, layout, [], cached)
+    units: List[_Unit] = [
+        (scenario.name, seed, {**overrides, **sharder.restrict(params, owned)},
+         {"shards": {"count": shards, "index": index}})
+        for index, owned in enumerate(layout) if owned
+    ]
+    return _ShardPlan(seed, stamped, labels, layout, units, None)
 
 
 def _deep_union(base: Dict[str, Any], add: Mapping[str, Any],
@@ -409,14 +424,27 @@ def _merge_flows(ordered: Sequence[RunResult], sharder: Sharder,
     return payload, events, analysis
 
 
-def _shard_worker(job: Tuple[str, int, Dict[str, Any], Dict[str, Any],
-                             Optional[str], bool]) -> Dict[str, Any]:
-    """Top-level (picklable) worker: one shard in a pool process."""
-    name, seed, overrides, extra_params, cache_root, use_cache = job
-    cache = ResultCache(cache_root) if cache_root is not None else None
-    result, _ = _execute(name, seed, overrides, cache, use_cache,
-                         extra_params=extra_params)
-    return result.to_json_dict()
+def _merge_shards(scenario: Scenario, sharder: Sharder, plan: _ShardPlan,
+                  results: Sequence[RunResult], started: float,
+                  cache: Optional[ResultCache]) -> RunResult:
+    """Recombine one seed's shard results and cache the merged result."""
+    if sharder.mode == "cases":
+        payload, events, analysis = _merge_cases(results, plan.labels)
+    else:
+        payload, events, analysis = _merge_flows(results, sharder)
+    merged = RunResult(
+        scenario=scenario.name,
+        params=plan.params,
+        seed=plan.seed,
+        payload=json.loads(canonical_json(payload)),
+        events=json.loads(canonical_json(events)),
+        wall_time=time.perf_counter() - started,
+        fingerprint=code_fingerprint(),
+        analysis=json.loads(canonical_json(analysis)),
+    )
+    if cache is not None:
+        cache.store(merged)
+    return merged
 
 
 def run_sharded(name: str, seed: int = 0,
@@ -438,91 +466,27 @@ def run_sharded(name: str, seed: int = 0,
     machine's CPU count; ``jobs<=1`` runs the shards sequentially
     in-process (still produces the identical merged result).
     """
-    import os
-
-    scenario = get_scenario(name)
-    name = scenario.name
-    sharder = _require_sharder(scenario)
-    if shards < 1:
-        raise ShardingError(f"shard count must be >= 1, got {shards}")
-    overrides = dict(overrides or {})
     started = time.perf_counter()
-
-    params = scenario.instantiate(seed, overrides)
-    labels = list(sharder.units(params))
-    if not labels:
-        raise ShardingError(
-            f"scenario {name!r} has no shardable units under these params")
-    layout = partition(labels, shards)
-    layout_param = {"shards": {"count": shards, "layout": layout}}
-    merged_params = dict(canonical_params(params))
-    merged_params.update(json.loads(canonical_json(layout_param)))
-    merged_params = {key: merged_params[key] for key in sorted(merged_params)}
-    fingerprint = code_fingerprint()
-
-    if cache is not None and use_cache:
-        cached = cache.load(name, merged_params, seed, fingerprint)
-        if cached is not None:
-            return ShardedResult(
-                scenario=name, merged=cached, shards=[], layout=layout,
-                wall_time=time.perf_counter() - started, jobs=0,
-            )
-
-    shard_jobs = [
-        (index,
-         {**overrides, **sharder.restrict(params, layout[index])},
-         {"shards": {"count": shards, "index": index}})
-        for index in range(shards) if layout[index]
-    ]
+    scenario, sharder = _sharded(name, shards)
+    plan = _plan_shards(scenario, sharder, seed, dict(overrides or {}),
+                        shards, cache, use_cache)
+    if plan.cached is not None:
+        return ShardedResult(
+            scenario=scenario.name, merged=plan.cached, shards=[],
+            layout=plan.layout, wall_time=time.perf_counter() - started,
+            jobs=0,
+        )
     if jobs is None:
-        jobs = min(len(shard_jobs), os.cpu_count() or 1)
-
-    if jobs <= 1 or len(shard_jobs) <= 1:
-        results = [
-            _execute(name, seed, shard_overrides, cache, use_cache,
-                     extra_params=extra)[0]
-            for _, shard_overrides, extra in shard_jobs
-        ]
-    else:
-        cache_root = str(cache.root) if cache is not None else None
-        job_args = [(name, seed, shard_overrides, extra, cache_root, use_cache)
-                    for _, shard_overrides, extra in shard_jobs]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            # pool.map preserves shard-index order deterministically.
-            results = [RunResult.from_json_dict(d)
-                       for d in pool.map(_shard_worker, job_args)]
-        if cache is not None:
-            for result in results:
-                if result.cache_hit:
-                    cache.hits += 1
-                else:
-                    cache.misses += 1
-
-    if sharder.mode == "cases":
-        payload, events, analysis = _merge_cases(results, labels)
-    else:
-        payload, events, analysis = _merge_flows(results, sharder)
-
-    wall = time.perf_counter() - started
-    merged = RunResult(
-        scenario=name,
-        params=merged_params,
-        seed=seed,
-        payload=json.loads(canonical_json(payload)),
-        events=json.loads(canonical_json(events)),
-        wall_time=wall,
-        fingerprint=fingerprint,
-        analysis=json.loads(canonical_json(analysis)),
-    )
-    if cache is not None:
-        cache.store(merged)
+        jobs = os.cpu_count() or 1  # the fan-out caps it at the shard count
+    results, workers = _fan_out(plan.units, jobs, cache, use_cache)
+    merged = _merge_shards(scenario, sharder, plan, results, started, cache)
     return ShardedResult(
-        scenario=name,
+        scenario=scenario.name,
         merged=merged,
         shards=results,
-        layout=layout,
-        wall_time=wall,
-        jobs=jobs,
+        layout=plan.layout,
+        wall_time=merged.wall_time,
+        jobs=workers,
     )
 
 
@@ -531,6 +495,14 @@ def run_sharded(name: str, seed: int = 0,
 
 class JobSpecError(ValueError):
     """A job specification that cannot be executed as requested."""
+
+
+def _require_int(data: Mapping[str, Any], key: str, default: int) -> int:
+    """``data[key]`` if it is an int (bools excluded), else JobSpecError."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise JobSpecError(f"{key!r} must be an int, got {value!r}")
+    return value
 
 
 @dataclass
@@ -574,7 +546,8 @@ class JobSpec:
         Accepts either an explicit ``seeds`` list or the CLI-shaped
         ``{"seeds": N, "seed_start": S}`` count form; rejects unknown
         keys so typos fail loudly instead of silently running the
-        default sweep.
+        default sweep, and values of the wrong JSON type instead of
+        coercing them.
         """
         if not isinstance(data, Mapping):
             raise JobSpecError(f"job spec must be an object, got {type(data).__name__}")
@@ -586,18 +559,17 @@ class JobSpec:
         if not isinstance(scenario, str) or not scenario:
             raise JobSpecError("'scenario' must be a non-empty string")
         seeds = data.get("seeds", 1)
-        start = data.get("seed_start", 0)
+        start = _require_int(data, "seed_start", 0)
         if isinstance(seeds, bool):
             raise JobSpecError("'seeds' must be an int count or a list of ints")
         if isinstance(seeds, int):
             if seeds < 1:
                 raise JobSpecError(f"'seeds' count must be >= 1, got {seeds}")
-            seed_list = tuple(range(int(start), int(start) + seeds))
+            seed_list = tuple(range(start, start + seeds))
         elif isinstance(seeds, (list, tuple)):
-            try:
-                seed_list = tuple(int(s) for s in seeds)
-            except (TypeError, ValueError):
+            if any(isinstance(s, bool) or not isinstance(s, int) for s in seeds):
                 raise JobSpecError(f"'seeds' list must contain ints, got {seeds!r}")
+            seed_list = tuple(seeds)
         else:
             raise JobSpecError("'seeds' must be an int count or a list of ints")
         overrides = data.get("overrides") or {}
@@ -607,16 +579,16 @@ class JobSpec:
         if shards is not None and (isinstance(shards, bool)
                                    or not isinstance(shards, int)):
             raise JobSpecError(f"'shards' must be an int or null, got {shards!r}")
-        jobs = data.get("jobs", 1)
-        if isinstance(jobs, bool) or not isinstance(jobs, int):
-            raise JobSpecError(f"'jobs' must be an int, got {jobs!r}")
+        use_cache = data.get("use_cache", True)
+        if not isinstance(use_cache, bool):
+            raise JobSpecError(f"'use_cache' must be a bool, got {use_cache!r}")
         return cls(
             scenario=scenario,
             seeds=seed_list,
             overrides=dict(overrides),
             shards=shards,
-            jobs=jobs,
-            use_cache=bool(data.get("use_cache", True)),
+            jobs=_require_int(data, "jobs", 1),
+            use_cache=use_cache,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -637,7 +609,8 @@ class JobResult:
     ``merged`` is the deterministic merged-sweep document —
     byte-identical (via :meth:`canonical_bytes`) to what
     ``python -m repro run ... --json`` prints for the same spec; the
-    rest is accounting the control plane reports and meters.
+    rest is accounting the control plane reports and meters.  ``jobs``
+    is the number of processes the job's units ran on (1 in-process).
     """
 
     spec: Dict[str, Any]
@@ -646,17 +619,6 @@ class JobResult:
     jobs: int
     cache_hits: int
     cache_misses: int
-
-    @classmethod
-    def from_sweep(cls, spec: JobSpec, sweep: SweepResult) -> "JobResult":
-        return cls(
-            spec=spec.to_dict(),
-            merged=sweep.merged(),
-            wall_time=sweep.wall_time,
-            jobs=sweep.jobs,
-            cache_hits=sweep.cache_hits,
-            cache_misses=sweep.cache_misses,
-        )
 
     def canonical_bytes(self) -> bytes:
         """Deterministic bytes of the merged document (timing excluded)."""
@@ -690,32 +652,46 @@ def execute_job(spec: JobSpec, *,
 
     This is the single execution path beneath both front-ends: the CLI
     builds a spec from its flags, the service deserializes one from a
-    POST body, and both get the same bytes for the same spec.  With
-    ``shards`` set, ``jobs=1`` means auto fan-out (one process per
-    non-empty shard, capped at the CPU count) — matching the CLI's
+    POST body, and both get the same bytes for the same spec.
+
+    Every (seed, shard) unit of the job runs through one fan-out.  With
+    ``shards`` set, seeds whose merged result is cached are skipped,
+    and ``jobs=1`` means auto fan-out (one process per non-empty shard
+    of a seed, capped at the CPU count) — matching the CLI's
     ``--shards`` semantics, where ``--jobs`` only pins the pool size
     when it is greater than one.
     """
     started = time.perf_counter()
     if spec.shards is None:
-        sweep = run_sweep(spec.scenario, spec.seeds, spec.overrides,
-                          jobs=spec.jobs, cache=cache,
-                          use_cache=spec.use_cache)
+        name = get_scenario(spec.scenario).name
+        units: List[_Unit] = [(name, seed, spec.overrides, None)
+                              for seed in spec.seeds]
+        results, workers = _fan_out(units, spec.jobs, cache, spec.use_cache)
     else:
-        # One sharded execution per seed; the merged per-seed results
-        # slot into the ordinary sweep shape (merging, canonical bytes).
-        shard_jobs = spec.jobs if spec.jobs > 1 else None  # None = auto
+        scenario, sharder = _sharded(spec.scenario, spec.shards)
+        plans = [_plan_shards(scenario, sharder, seed, spec.overrides,
+                              spec.shards, cache, spec.use_cache)
+                 for seed in spec.seeds]
+        # Automatic width is today's per-seed one: a process per
+        # non-empty shard, at most one per CPU.
+        jobs = spec.jobs if spec.jobs > 1 else min(
+            os.cpu_count() or 1, max(len(plan.units) for plan in plans))
+        shard_results, workers = _fan_out(
+            [unit for plan in plans for unit in plan.units],
+            jobs, cache, spec.use_cache)
+        pending = iter(shard_results)
         results = []
-        for seed in spec.seeds:
-            sharded = run_sharded(spec.scenario, seed=seed,
-                                  overrides=spec.overrides,
-                                  shards=spec.shards, jobs=shard_jobs,
-                                  cache=cache, use_cache=spec.use_cache)
-            results.append(sharded.merged)
-        sweep = SweepResult(
-            scenario=results[0].scenario,
-            results=results,
-            wall_time=time.perf_counter() - started,
-            jobs=spec.jobs,
-        )
-    return JobResult.from_sweep(spec, sweep)
+        for plan in plans:
+            own = [next(pending) for _ in plan.units]
+            results.append(plan.cached if plan.cached is not None else
+                           _merge_shards(scenario, sharder, plan, own,
+                                         started, cache))
+    hits = sum(1 for r in results if r.cache_hit)
+    return JobResult(
+        spec=spec.to_dict(),
+        merged=merge_results(results),
+        wall_time=time.perf_counter() - started,
+        jobs=workers,
+        cache_hits=hits,
+        cache_misses=len(results) - hits,
+    )

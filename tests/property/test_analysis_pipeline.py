@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import extract_probes
 from repro.analysis.pipeline import series
-from repro.runtime import get_scenario, run_sweep
+from repro.runtime import JobSpec, execute_job, get_scenario
 from repro.runtime.scenario import canonical_json
 
 # Deliberately small parameterizations: every scenario in minutes-of-sim
@@ -170,10 +170,10 @@ def test_capture_classifier_matches_extract_probes():
 @pytest.mark.parametrize("name", sorted(CHEAP_OVERRIDES))
 def test_parallel_merge_equals_serial(name):
     overrides = CHEAP_OVERRIDES[name]
-    serial = run_sweep(name, seeds=[0, 1], overrides=overrides,
-                       jobs=1, use_cache=False)
-    parallel = run_sweep(name, seeds=[0, 1], overrides=overrides,
-                         jobs=2, use_cache=False)
+    serial = execute_job(JobSpec(name, seeds=(0, 1), overrides=overrides,
+                                 jobs=1, use_cache=False))
+    parallel = execute_job(JobSpec(name, seeds=(0, 1), overrides=overrides,
+                                   jobs=2, use_cache=False))
     assert serial.canonical_bytes() == parallel.canonical_bytes()
 
 
@@ -181,14 +181,13 @@ def test_merged_analysis_equals_merged_states():
     """The sweep's cross-seed analysis re-finalizes merged states."""
     from repro.analysis.pipeline import merge_analysis
 
-    sweep = run_sweep("sink", seeds=[0, 1],
-                      overrides=CHEAP_OVERRIDES["sink"],
-                      jobs=1, use_cache=False)
-    merged = sweep.merged()
-    expected = merge_analysis([r.analysis for r in sweep.results])
+    merged = execute_job(JobSpec("sink", seeds=(0, 1),
+                                 overrides=CHEAP_OVERRIDES["sink"],
+                                 jobs=1, use_cache=False)).merged
+    expected = merge_analysis([run["analysis"] for run in merged["runs"]])
     assert canonical_json(merged["analysis"]) == canonical_json(expected)
-    per_seed = [r.analysis["probes"]["output"]["count"]
-                for r in sweep.results]
+    per_seed = [run["analysis"]["probes"]["output"]["count"]
+                for run in merged["runs"]]
     assert merged["analysis"]["probes"]["count"] == sum(per_seed)
 
 

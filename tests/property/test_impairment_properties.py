@@ -13,7 +13,7 @@ import pytest
 from repro.runtime.topology import build_world
 from repro.gfw import DetectorConfig
 from repro.net import Impairment
-from repro.runtime import run_sweep
+from repro.runtime import JobSpec, execute_job
 from repro.shadowsocks import ShadowsocksClient, ShadowsocksServer
 from repro.workloads import CurlDriver
 
@@ -36,10 +36,10 @@ SMALL_GRID = {
 def test_impaired_sweep_serial_equals_parallel():
     # Any impairment configuration with a fixed seed must be
     # byte-identical whether run serially or fanned out over processes.
-    serial = run_sweep("impairment-matrix", range(2), SMALL_GRID,
-                       jobs=1, use_cache=False)
-    parallel = run_sweep("impairment-matrix", range(2), SMALL_GRID,
-                         jobs=2, use_cache=False)
+    serial = execute_job(JobSpec("impairment-matrix", (0, 1), SMALL_GRID,
+                                 jobs=1, use_cache=False))
+    parallel = execute_job(JobSpec("impairment-matrix", (0, 1), SMALL_GRID,
+                                   jobs=2, use_cache=False))
     assert serial.canonical_bytes() == parallel.canonical_bytes()
 
 

@@ -25,8 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import (
+    JobSpec,
     ResultCache,
     ShardingError,
+    execute_job,
+    merge_results,
     run_scenario,
     run_sharded,
 )
@@ -184,6 +187,28 @@ def test_sharded_multiprocess_matches_in_process():
                          shards=2, jobs=2, use_cache=False)
     assert pooled.canonical_bytes() == one.canonical_bytes()
     assert pooled.merged.params["shards"]["count"] == 2
+
+
+def test_seeds_by_shards_job_matches_per_seed_sharded_runs(tmp_path):
+    """One pool runs every (seed, shard) unit of a job; pool workers take
+    units of different seeds one after another, and the merged bytes
+    must equal the per-seed in-process sharded runs."""
+    overrides = SHARDABLE_OVERRIDES["scale-1m"]
+    expected = merge_results([
+        run_sharded("scale-1m", seed=seed, overrides=overrides,
+                    shards=2, jobs=1, use_cache=False).merged
+        for seed in (0, 1)])
+    spec = JobSpec("scale-1m", seeds=(0, 1), shards=2, jobs=2,
+                   overrides=overrides)
+    assert execute_job(spec).canonical_bytes() \
+        == canonical_json(expected).encode("utf-8")
+
+    cache = ResultCache(tmp_path)
+    first = execute_job(spec, cache=cache)
+    assert (first.cache_hits, first.cache_misses) == (0, 2)
+    again = execute_job(spec, cache=cache)
+    assert (again.cache_hits, again.cache_misses) == (2, 0)
+    assert again.canonical_bytes() == first.canonical_bytes()
 
 
 def test_every_sharder_declaring_scenario_is_covered():

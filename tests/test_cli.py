@@ -95,6 +95,11 @@ def test_run_bad_override(capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
+def test_run_bad_jobs(capsys):
+    assert main(["run", "sink", "--jobs", "0", "--no-cache"]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_run_executes_and_caches(tmp_path, capsys):
     argv = ["run", "ablation-detector-features", "--set", "samples=40",
             "--cache-dir", str(tmp_path)]

@@ -4,6 +4,8 @@ import pytest
 
 from repro.crypto import AESGCM, AuthenticationError
 
+from .crypto_reference import ReferenceAESGCM
+
 
 def test_nist_case1_empty():
     # Key = 0^128, IV = 0^96, empty plaintext and AAD.
@@ -76,15 +78,15 @@ def test_wrong_aad_rejected():
         box.open(bytes(12), sealed, b"wrong")
 
 
-# The vectorized GHASH (stride-8 chunk sums, engaged for records of
-# GHASH_MIN_BLOCKS blocks and up) must agree with the scalar table walk
-# on every size around the engagement threshold and chunk remainders.
+# Records past the table threshold hash through the 16x256 H tables;
+# they must agree with the per-bit reference GHASH on sizes around the
+# old vector-path boundary (2048 bytes) and on 16 KiB records.
 
 
 @pytest.fixture
 def no_record_cache():
-    # The global record memo would satisfy the second seal()/open() from
-    # the first box's result, so the scalar walk would never execute.
+    # The global record memo would satisfy a seal()/open() from an
+    # earlier identical call, so the table walk would never execute.
     from repro.crypto import recordcache
 
     was = recordcache.enabled()
@@ -98,37 +100,27 @@ def no_record_cache():
     4096, 16384, 16401, 65536,
 ])
 def test_vector_ghash_matches_scalar(size, no_record_cache):
-    from repro.crypto import _numpy as _vec
-
-    if not _vec.HAVE_NUMPY:
-        pytest.skip("numpy unavailable; only the scalar path exists")
     key = bytes(range(32))
     iv = bytes(12)
     pt = bytes((i * 131 + 17) & 0xFF for i in range(size))
     aad = b"header" * 40
 
-    vec_box = AESGCM(key)
-    scalar_box = AESGCM(key)
-    scalar_box._vtables = False       # pin this instance to the scalar walk
-    sealed = vec_box.seal(iv, pt, aad)
-    assert sealed == scalar_box.seal(iv, pt, aad)
-    assert scalar_box.open(iv, sealed, aad) == pt
-    assert vec_box.open(iv, sealed, aad) == pt
+    box = AESGCM(key)
+    reference = ReferenceAESGCM(key)
+    sealed = box.seal(iv, pt, aad)
+    assert sealed == reference.seal(iv, pt, aad)
+    assert reference.open(iv, sealed, aad) == pt
+    assert box.open(iv, sealed, aad) == pt
 
 
 def test_vector_ghash_mixed_sizes_share_tables(no_record_cache):
-    # One instance alternating below/above the threshold keeps a single
-    # running state machine; the vector tables must not leak between
-    # calls or depend on build order.
-    from repro.crypto import _numpy as _vec
-
-    if not _vec.HAVE_NUMPY:
-        pytest.skip("numpy unavailable; only the scalar path exists")
+    # One instance alternating below/above the table threshold keeps a
+    # single running state machine; the H tables must not depend on
+    # which call built them.
     key = bytes(16)
-    vec_box = AESGCM(key)
-    scalar_box = AESGCM(key)
-    scalar_box._vtables = False
+    box = AESGCM(key)
+    reference = ReferenceAESGCM(key)
     for n, size in enumerate([5, 4096, 17, 2048, 3000, 0, 8192]):
         iv = n.to_bytes(12, "big")
         pt = bytes((i + n) & 0xFF for i in range(size))
-        assert vec_box.seal(iv, pt) == scalar_box.seal(iv, pt)
+        assert box.seal(iv, pt) == reference.seal(iv, pt)

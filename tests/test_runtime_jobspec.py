@@ -1,5 +1,6 @@
 """The JobSpec/JobResult layer shared by the CLI and the service."""
 
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -8,8 +9,10 @@ from repro.runtime import (
     JobSpec,
     JobSpecError,
     ResultCache,
+    canonical_json,
     execute_job,
-    run_sweep,
+    merge_results,
+    run_scenario,
 )
 from repro.runtime.scenario import Scenario, register, unregister
 
@@ -68,6 +71,11 @@ def test_from_dict_defaults_to_single_seed():
     {"scenario": "s", "jobs": 0},                    # jobs below 1
     {"scenario": "s", "jobs": True},                 # bool is not a count
     {"scenario": "s", "sedes": 3},                   # typo'd key
+    {"scenario": "s", "seed_start": "x"},            # non-int start
+    {"scenario": "s", "seed_start": None},           # null start
+    {"scenario": "s", "seed_start": 1.5},            # float start
+    {"scenario": "s", "seeds": [True, 2.7]},         # bool/float seeds
+    {"scenario": "s", "use_cache": "false"},         # stringly-typed bool
 ])
 def test_from_dict_rejects_malformed_specs(bad):
     with pytest.raises(JobSpecError):
@@ -87,9 +95,11 @@ def test_execute_job_matches_run_sweep(job_scenario):
     spec = JobSpec(scenario=job_scenario, seeds=(0, 1),
                    overrides={"value": 5}, use_cache=False)
     job = execute_job(spec)
-    sweep = run_sweep(job_scenario, seeds=(0, 1), overrides={"value": 5},
-                      use_cache=False)
-    assert job.canonical_bytes() == sweep.canonical_bytes()
+    expected = merge_results([
+        run_scenario(job_scenario, seed=seed, overrides={"value": 5},
+                     use_cache=False)
+        for seed in (0, 1)])
+    assert job.canonical_bytes() == canonical_json(expected).encode("utf-8")
     doc = job.merged
     assert doc["seeds"] == [0, 1]
     assert doc["runs"][0]["payload"]["tripled"] == 15
@@ -113,3 +123,15 @@ def test_job_result_round_trips_through_json(job_scenario):
     clone = JobResult.from_json_dict(job.to_json_dict())
     assert clone.canonical_bytes() == job.canonical_bytes()
     assert clone.spec == spec.to_dict()
+
+
+def test_job_reports_the_processes_it_ran_on(job_scenario):
+    # A sharded job fans out automatically, one process per shard up to
+    # the CPU count; one seed never leaves the process, whatever --jobs.
+    sharded = execute_job(JobSpec(
+        scenario="scale-1m", shards=2, use_cache=False,
+        overrides={"flows": 1000, "block_size": 128}))
+    assert sharded.jobs == min(2, os.cpu_count() or 1)
+    single = execute_job(JobSpec(scenario=job_scenario, jobs=4,
+                                 use_cache=False))
+    assert single.jobs == 1

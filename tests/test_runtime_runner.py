@@ -5,11 +5,12 @@ from dataclasses import dataclass
 import pytest
 
 from repro.runtime import (
+    JobSpec,
     ResultCache,
     RunResult,
+    execute_job,
     merge_results,
     run_artifact,
-    run_sweep,
 )
 from repro.runtime.scenario import Scenario, register, unregister
 
@@ -41,33 +42,37 @@ def toy_scenario():
 def test_serial_and_parallel_sweeps_byte_identical():
     """The tentpole determinism property: --jobs M never changes results."""
     name, overrides = CHEAP
-    serial = run_sweep(name, seeds=range(3), overrides=overrides, jobs=1)
-    parallel = run_sweep(name, seeds=range(3), overrides=overrides, jobs=2)
+    serial = execute_job(JobSpec(name, seeds=(0, 1, 2), overrides=overrides,
+                                 jobs=1))
+    parallel = execute_job(JobSpec(name, seeds=(0, 1, 2), overrides=overrides,
+                                   jobs=2))
     assert serial.canonical_bytes() == parallel.canonical_bytes()
-    assert [r.seed for r in parallel.results] == [0, 1, 2]
+    assert [run["seed"] for run in parallel.merged["runs"]] == [0, 1, 2]
 
 
 def test_parallel_sweep_uses_and_fills_cache(tmp_path):
     name, overrides = CHEAP
     cache = ResultCache(tmp_path)
-    first = run_sweep(name, seeds=range(3), overrides=overrides,
-                      jobs=2, cache=cache)
+    spec = JobSpec(name, seeds=(0, 1, 2), overrides=overrides, jobs=2)
+    first = execute_job(spec, cache=cache)
     assert first.cache_misses == 3
-    again = run_sweep(name, seeds=range(3), overrides=overrides,
-                      jobs=2, cache=cache)
+    again = execute_job(spec, cache=cache)
     assert again.cache_hits == 3 and again.cache_misses == 0
     assert again.canonical_bytes() == first.canonical_bytes()
 
 
 def test_sweep_results_come_back_in_seed_order(toy_scenario):
-    sweep = run_sweep(toy_scenario, seeds=[4, 1, 3])
-    assert [r.seed for r in sweep.results] == [4, 1, 3]  # submission order
-    assert sweep.merged()["seeds"] == [1, 3, 4]          # merge sorts
+    job = execute_job(JobSpec(toy_scenario, seeds=(4, 1, 3)))
+    assert job.spec["seeds"] == [4, 1, 3]                # submission order
+    assert job.merged["seeds"] == [1, 3, 4]              # merge sorts
+    assert [run["payload"]["value"] for run in job.merged["runs"]] \
+        == [101, 103, 104]
+    assert job.canonical_bytes() == execute_job(
+        JobSpec(toy_scenario, seeds=(1, 3, 4))).canonical_bytes()
 
 
 def test_merge_aggregates_metrics_and_events(toy_scenario):
-    sweep = run_sweep(toy_scenario, seeds=range(3))
-    merged = sweep.merged()
+    merged = execute_job(JobSpec(toy_scenario, seeds=(0, 1, 2))).merged
     assert merged["scenario"] == toy_scenario
     assert merged["metrics"]["value"] == {"mean": 101.0, "min": 100, "max": 102}
     assert merged["events"] == {"toy.built": 3}
@@ -106,4 +111,4 @@ def test_run_artifact_returns_live_object(tmp_path, toy_scenario):
 
 def test_unknown_scenario_fails_fast():
     with pytest.raises(KeyError):
-        run_sweep("no-such-scenario", seeds=range(2), jobs=2)
+        execute_job(JobSpec("no-such-scenario", seeds=(0, 1), jobs=2))

@@ -94,6 +94,7 @@ def test_unknown_scenario_fails_cleanly(service):
     {"overrides": {"connections": 8}},            # missing scenario
     {"scenario": "quickstart", "sedes": 2},       # typo'd key
     {"scenario": "quickstart", "seeds": 0},       # invalid sweep
+    {"scenario": "quickstart", "seed_start": "x"},  # non-int seed start
 ])
 def test_malformed_spec_is_rejected_with_400(service, bad_body):
     _, client = service
