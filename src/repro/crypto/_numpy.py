@@ -1,52 +1,24 @@
-"""Optional numpy acceleration for the batched crypto hot loops.
+"""The numpy kernel for bulk AES.
 
-The crypto package implements every primitive from the spec in pure
-Python; this module vectorizes the *batched* inner loops (counter-mode
-keystream generation, batch block encryption, ChaCha20 block batches,
-whole-buffer XOR) across blocks when numpy is importable.  The math is
-identical 32-bit word arithmetic, so results are byte-identical to the
-scalar paths — the property suite asserts this — and every caller falls
-back to the pure-Python loop when numpy is missing or the batch is too
-small to amortize per-call overhead.
-
-Set ``REPRO_CRYPTO_NUMPY=0`` to force the pure-Python paths (useful for
-benchmarking the scalar code or debugging a suspected vectorization
-difference).
+Counter-mode keystream and batch (ECB) encryption work on independent
+blocks, so these kernels run the T-table round loop once over a whole
+batch, one uint32 array per state column.  The arithmetic is the 32-bit
+word arithmetic of ``AES._encrypt_words``, so the bytes are identical
+(the property suite asserts this).  ``aes.py`` is the only caller: it
+sends batches of ``aes.NUMPY_MIN_BLOCKS`` and more here when numpy is
+importable, and runs its pure-Python loop otherwise.
 """
 
 from __future__ import annotations
 
-import os
+__all__ = ["HAVE_NUMPY", "aes_batch_encrypt", "aes_keystream"]
 
-__all__ = [
-    "HAVE_NUMPY",
-    "aes_batch_encrypt",
-    "aes_keystream",
-    "chacha_blocks",
-    "xor_bytes",
-]
-
-if os.environ.get("REPRO_CRYPTO_NUMPY", "1") == "0":  # pragma: no cover
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy is in the dev toolchain
     np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is in the dev toolchain
-        np = None
 
 HAVE_NUMPY = np is not None
-
-# Batch sizes below these thresholds are faster in the scalar loops
-# (numpy pays ~1-2us of dispatch overhead per array op).
-AES_MIN_BLOCKS = 16
-XOR_MIN_BYTES = 2048
-
-# ChaCha20's pure-Python path runs every block of a batch through one
-# lane-packed round loop (``chacha20._keystream``), so numpy's ~1k array
-# ops per batch only pay off from about 512 blocks.  Packed time over
-# numpy time on a 2-core x86 host: 0.6 at 256 blocks, 0.9 at 384, 1.0
-# at 512, 1.5 at 768.
-CHACHA_MIN_BLOCKS = 512
 
 _M32 = 0xFFFFFFFF
 
@@ -154,65 +126,3 @@ def aes_batch_encrypt(round_keys, rounds: int, blocks) -> bytes:
         np.ascontiguousarray(words[:, 2]), np.ascontiguousarray(words[:, 3]),
         rounds, round_keys)
     return _interleave_columns(e0, e1, e2, e3, len(words))
-
-
-def chacha_blocks(init, counter: int, nblocks: int, djb: bool) -> bytes:
-    """Batch of ChaCha20 keystream blocks for consecutive counters.
-
-    ``init`` is the 16-word initial state with the counter word(s) to be
-    filled per block: word 12 (IETF, 32-bit) or words 12-13 (original
-    DJB variant, 64-bit).
-    """
-    m32 = np.uint64(_M32)
-    idx = np.arange(nblocks, dtype=np.uint64)
-    state = []
-    for i, word in enumerate(init):
-        if i == 12:
-            state.append(((np.uint64(counter) + idx) & m32).astype(np.uint32))
-        elif i == 13 and djb:
-            state.append((((np.uint64(counter) + idx) >> np.uint64(32)) & m32)
-                         .astype(np.uint32))
-        else:
-            state.append(np.full(nblocks, word, dtype=np.uint32))
-    # Copy: the quarter round mutates in place (^=) and the originals are
-    # needed intact for the final feed-forward addition.
-    x = [s.copy() for s in state]
-
-    def qr(a, b, c, d):
-        x[a] = x[a] + x[b]
-        x[d] ^= x[a]
-        x[d] = (x[d] << np.uint32(16)) | (x[d] >> np.uint32(16))
-        x[c] = x[c] + x[d]
-        x[b] ^= x[c]
-        x[b] = (x[b] << np.uint32(12)) | (x[b] >> np.uint32(20))
-        x[a] = x[a] + x[b]
-        x[d] ^= x[a]
-        x[d] = (x[d] << np.uint32(8)) | (x[d] >> np.uint32(24))
-        x[c] = x[c] + x[d]
-        x[b] ^= x[c]
-        x[b] = (x[b] << np.uint32(7)) | (x[b] >> np.uint32(25))
-
-    for _ in range(10):
-        qr(0, 4, 8, 12)
-        qr(1, 5, 9, 13)
-        qr(2, 6, 10, 14)
-        qr(3, 7, 11, 15)
-        qr(0, 5, 10, 15)
-        qr(1, 6, 11, 12)
-        qr(2, 7, 8, 13)
-        qr(3, 4, 9, 14)
-
-    out = np.empty((nblocks, 16), dtype="<u4")
-    for i in range(16):
-        out[:, i] = x[i] + state[i]
-    return out.tobytes()
-
-
-def xor_bytes(a, b) -> bytes:
-    """XOR two equal-length byte strings (numpy above a size threshold)."""
-    n = len(a)
-    if HAVE_NUMPY and n >= XOR_MIN_BYTES:
-        va = np.frombuffer(bytes(a), dtype=np.uint8)
-        vb = np.frombuffer(bytes(b), dtype=np.uint8)
-        return (va ^ vb).tobytes()
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import struct
 
-from . import _numpy as _nx
 from . import recordcache
+from ._xor import xor_bytes
 from .chacha20 import _ietf_state, _keystream
 from .gcm import AESGCM, AuthenticationError, _eq
 from .poly1305 import _Poly1305
@@ -61,7 +61,7 @@ class ChaCha20Poly1305:
 
     def _seal(self, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
         poly_key, ks = self._record_keystream(nonce, len(plaintext))
-        ciphertext = _nx.xor_bytes(plaintext, ks)
+        ciphertext = xor_bytes(plaintext, ks)
         return ciphertext + self._tag(poly_key, aad, ciphertext)
 
     def _open(self, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
@@ -71,7 +71,7 @@ class ChaCha20Poly1305:
         poly_key, ks = self._record_keystream(nonce, len(ciphertext))
         if not _eq(tag, self._tag(poly_key, aad, ciphertext)):
             raise AuthenticationError("Poly1305 tag mismatch")
-        return _nx.xor_bytes(ciphertext, ks)
+        return xor_bytes(ciphertext, ks)
 
 
 _AEADS = {

@@ -14,10 +14,9 @@ double round does the same 32-bit arithmetic for all lanes at once and
 the bytes are those of the per-block definition.  A big-int operation
 costs little more for eight lanes than for one, so an AEAD record's
 Poly1305 key block and its 1-7 keystream blocks cost about as much as
-one block.
-Batches of ``_numpy.CHACHA_MIN_BLOCKS`` and more go to numpy when it is
-installed.  The incremental ciphers consume the keystream through a
-cursor and XOR whole buffers at a time.
+one block.  This is ChaCha20's only path, for every batch size.  The
+incremental ciphers consume the keystream through a cursor and XOR
+whole buffers at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 
-from . import _numpy as _nx
+from ._xor import xor_bytes
 
 __all__ = ["chacha20_block", "ChaCha20"]
 
@@ -48,8 +47,6 @@ def _keystream(init, counter: int, nblocks: int, wide: bool = False) -> bytes:
     locals: list loads and stores and a quarter-round index walk would
     cost more than the arithmetic.
     """
-    if _nx.HAVE_NUMPY and nblocks >= _nx.CHACHA_MIN_BLOCKS:
-        return _nx.chacha_blocks(init, counter, nblocks, djb=wide)
     one = int.from_bytes((b"\x01" + bytes(7)) * nblocks, "little")
     m = one * _M
     i0, i1, i2, i3, i4, i5, i6, i7, i8, i9, iA, iB, iC, iD, iE, iF = [
@@ -171,7 +168,7 @@ class _KeystreamCipher:
                 self._pos = 0
             self._ks += fresh
         ks = memoryview(self._ks)[self._pos : self._pos + n]
-        out = _nx.xor_bytes(data, ks)
+        out = xor_bytes(data, ks)
         ks.release()
         self._pos += n
         if self._pos == len(self._ks):

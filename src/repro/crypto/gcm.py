@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import struct
 
-from ._numpy import xor_bytes
 from . import recordcache
+from ._xor import xor_bytes
 from .aes import AES
 
 __all__ = ["AESGCM", "AuthenticationError"]
@@ -182,6 +182,8 @@ class AESGCM:
         return ciphertext + self._tag(nonce, aad, ciphertext)
 
     def _open(self, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
+        if len(nonce) != self.NONCE_SIZE:
+            raise ValueError(f"GCM nonce must be {self.NONCE_SIZE} bytes")
         if len(sealed) < self.TAG_SIZE:
             raise AuthenticationError("ciphertext shorter than tag")
         ciphertext, tag = sealed[: -self.TAG_SIZE], sealed[-self.TAG_SIZE :]

@@ -16,7 +16,7 @@ themselves — so it encrypts them as one batch.
 
 from __future__ import annotations
 
-from ._numpy import xor_bytes
+from ._xor import xor_bytes
 from .aes import AES, BLOCK_SIZE
 
 __all__ = ["CTRMode", "CFBMode"]

@@ -22,13 +22,10 @@ chunks cap at 0x3FFF bytes, so anything bigger is bulk-buffer work the
 memo was never meant to absorb.  ``repro bench --suite crypto``
 additionally disables the memo outright for its measurement window, so
 reported primitive throughput always reflects real seal/open work.
-
-``REPRO_CRYPTO_CACHE=0`` disables the memo.
+``set_enabled`` is the one switch, for benchmarks and tests.
 """
 
 from __future__ import annotations
-
-import os
 
 __all__ = ["enabled", "set_enabled", "clear", "cached_seal", "cached_open"]
 
@@ -37,7 +34,7 @@ MAX_ENTRIES = 4096
 # buffers sit far above this and always take the real primitives.
 MAX_RECORD = 1 << 15
 
-_enabled = os.environ.get("REPRO_CRYPTO_CACHE", "1") not in ("0", "false", "no")
+_enabled = True
 _cache: dict = {}
 
 

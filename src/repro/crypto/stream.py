@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from . import _numpy as _nx
+from ._xor import xor_bytes
 from .chacha20 import _CONSTANTS, ChaCha20, _KeystreamCipher
 from .modes import CFBMode, CTRMode
 
@@ -53,7 +53,7 @@ class RC4:
             s[j] = sj
             ks[pos] = s[(si + sj) & 0xFF]
         self._i, self._j = i, j
-        return _nx.xor_bytes(data, ks)
+        return xor_bytes(data, ks)
 
     encrypt = process
     decrypt = process

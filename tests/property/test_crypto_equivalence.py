@@ -1,13 +1,14 @@
 """Optimized crypto vs the textbook reference: byte-identical for every cipher.
 
-The optimized implementations (T-table AES, table-driven GHASH, batched
-CTR/CFB/ChaCha keystream, chunked Poly1305, numpy-vectorized batch
-paths) must be indistinguishable from the originals kept in
+The optimized implementations (T-table AES and its numpy batch kernel,
+table-driven GHASH, batched CTR/CFB/ChaCha keystream, chunked Poly1305)
+must be indistinguishable from the originals kept in
 ``tests/crypto_reference.py`` — over random keys, nonces, message sizes,
 and arbitrary chunked-vs-whole call patterns, through both the direct
 classes and the ``new_aead``/``new_stream_cipher`` factories.  Pinned
 examples add the sizes random draws never reach: lane and block edges,
-the largest AEAD chunk and both sides of the numpy cut-over.
+the largest AEAD chunk, ChaCha20 batches of 511 and 513 blocks, and one
+block either side of the AES numpy cut.
 """
 
 import hashlib
@@ -34,8 +35,7 @@ from repro.crypto import (
     new_stream_cipher,
     poly1305_mac,
 )
-from repro.crypto._numpy import CHACHA_MIN_BLOCKS
-from repro.crypto.aes import AES
+from repro.crypto.aes import AES, NUMPY_MIN_BLOCKS
 from repro.crypto.chacha20 import _keystream
 
 from .. import crypto_reference as ref
@@ -70,13 +70,18 @@ def _message(size):
     return bytes(i % 251 for i in range(size))
 
 
-# Sizes random ``messages`` never reach: one block and a byte either
-# side, the largest AEAD chunk (0x3FFF), and one block either side of
-# the numpy cut-over.  ``extra_blocks`` is what the cipher adds to the
-# message's blocks: an AEAD record's Poly1305 key takes one.
+# ChaCha20 sizes random ``messages`` never reach: one block and a byte
+# either side, the largest AEAD chunk (0x3FFF), and batches of 511 and
+# 513 blocks.  ``extra_blocks`` is what the cipher adds to the message's
+# blocks: an AEAD record's Poly1305 key takes one.
 def _edge_sizes(extra_blocks=0):
-    cut = CHACHA_MIN_BLOCKS - extra_blocks
-    return (0, 1, 63, 64, 65, 0x3FFF, 64 * (cut - 1), 64 * (cut + 1))
+    return (0, 1, 63, 64, 65, 0x3FFF,
+            64 * (511 - extra_blocks), 64 * (513 - extra_blocks))
+
+
+# One AES batch either side of the numpy cut: pure Python below, numpy
+# (when installed) above.
+AES_CUT_SIZES = (16 * (NUMPY_MIN_BLOCKS - 1), 16 * (NUMPY_MIN_BLOCKS + 1))
 
 
 def _at_sizes(sizes, arg, **fixed):
@@ -109,6 +114,8 @@ def test_aes_block_matches_reference(key, block):
 
 
 @given(key=aes_keys, iv=ivs16, data=messages, fractions=cuts)
+@_at_sizes(AES_CUT_SIZES, "data", key=bytes(range(32)), iv=bytes(range(16)),
+          fractions=[])
 @settings(max_examples=40, deadline=None)
 def test_ctr_matches_reference_chunked(key, iv, data, fractions):
     chunks = _chunked(data, fractions)
@@ -120,6 +127,9 @@ def test_ctr_matches_reference_chunked(key, iv, data, fractions):
 
 @given(key=aes_keys, iv=ivs16, data=messages, fractions=cuts,
        encrypt=st.booleans())
+# Decryption batches every full block through ``AES.encrypt_blocks``.
+@_at_sizes(AES_CUT_SIZES, "data", key=bytes(range(16)), iv=bytes(range(16)),
+          fractions=[], encrypt=False)
 @settings(max_examples=40, deadline=None)
 def test_cfb_matches_reference_chunked(key, iv, data, fractions, encrypt):
     chunks = _chunked(data, fractions)
@@ -152,7 +162,7 @@ def test_chacha20_djb_matches_reference_chunked(key, nonce, data, fractions):
     assert fast == slow
 
 
-@pytest.mark.parametrize("nblocks", [5, CHACHA_MIN_BLOCKS + 1])
+@pytest.mark.parametrize("nblocks", [5, 513])
 def test_chacha20_ietf_counter_wraps_like_reference(nblocks):
     """Word 12 wraps modulo 2^32 inside one batch."""
     key, nonce = bytes(range(32)), bytes(range(12))
@@ -162,7 +172,7 @@ def test_chacha20_ietf_counter_wraps_like_reference(nblocks):
             == ref.ReferenceChaCha20(key, nonce, counter=counter).process(data))
 
 
-@pytest.mark.parametrize("nblocks", [4, CHACHA_MIN_BLOCKS + 1])
+@pytest.mark.parametrize("nblocks", [4, 513])
 def test_chacha20_djb_counter_carries_into_word_13(nblocks):
     """The DJB variant's 64-bit counter carries from word 12 into 13."""
     key, nonce = bytes(range(32)), bytes(range(8))
@@ -184,8 +194,8 @@ def test_rc4_matches_reference_chunked(key, data, fractions):
 
 @given(key=aes_keys, nonce=nonces12, plaintext=messages,
        aad=st.binary(max_size=80))
-@_at_sizes((0, 1, 63, 64, 65, 0x3FFF), "plaintext", key=bytes(range(16)),
-          nonce=bytes(range(12)), aad=b"aad")
+@_at_sizes((0, 1, 63, 64, 65, 0x3FFF, *AES_CUT_SIZES), "plaintext",
+          key=bytes(range(16)), nonce=bytes(range(12)), aad=b"aad")
 @settings(max_examples=30, deadline=None)
 def test_gcm_matches_reference(key, nonce, plaintext, aad):
     fast, slow = AESGCM(key), ref.ReferenceAESGCM(key)

@@ -71,6 +71,17 @@ def test_tamper_detection_every_position():
             box.open(bytes(12), bytes(bad))
 
 
+@pytest.mark.parametrize("nonce_len", [0, 8, 16])
+@pytest.mark.parametrize("call", [
+    lambda box, nonce: box._seal(nonce, b"x", b""),
+    lambda box, nonce: box._open(nonce, bytes(17), b""),
+    lambda box, nonce: box._open(nonce, b"short", b""),
+], ids=["seal", "open", "open-short-input"])
+def test_gcm_rejects_bad_nonce_length(call, nonce_len):
+    with pytest.raises(ValueError, match="nonce"):
+        call(AESGCM(bytes(16)), bytes(nonce_len))
+
+
 def test_wrong_aad_rejected():
     box = AESGCM(bytes(16))
     sealed = box.seal(bytes(12), b"x", b"right")
