@@ -28,9 +28,9 @@ def run_variant(gated: bool, seed: int):
         scheduler = world.gfw.scheduler
         original = scheduler.on_flagged_connection
 
-        def ungated(ip, port, payload):
+        def ungated(ip, port, payload, protocol=None):
             state = scheduler.state_for(ip, port)
-            original(ip, port, payload)
+            original(ip, port, payload, protocol=protocol)
             if state.stage == 1:
                 state.stage = 2
                 scheduler._enter_stage2(state)

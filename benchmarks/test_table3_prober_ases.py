@@ -20,9 +20,12 @@ def test_table3_prober_ases(benchmark, emit, ss_result):
 
     per_as = benchmark(build)
     assert None not in per_as, "prober IP outside the known AS pools"
+    # Ties rank by AS number: the set's iteration order, and so
+    # Counter.most_common's order among ties, changes with PYTHONHASHSEED.
+    ranking = sorted(per_as.items(), key=lambda item: (-item[1], item[0]))
     rows = [
         (f"AS{asn}", count, PAPER_AS_COUNTS.get(asn, "-"))
-        for asn, count in per_as.most_common()
+        for asn, count in ranking
     ]
     text = (
         banner("Table 3: unique prober IPs per AS")

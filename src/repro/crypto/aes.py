@@ -1,31 +1,32 @@
-"""Pure-Python AES block cipher (forward direction only), T-table fast path.
+"""Pure-Python AES block cipher (forward direction only).
 
 Every cipher mode used by Shadowsocks (CTR, CFB, GCM) needs only the
 *encryption* direction of the block cipher, so the inverse cipher is not
-implemented.  SubBytes + ShiftRows + MixColumns are fused into four
-precomputed 32-bit T-tables and the round loop works on four column
-words, which is several times faster than the byte-oriented FIPS 197
-walk (property-tested byte-identical to it).  ``keystream`` generates many counter-mode blocks
-per call so CTR/GCM pay Python's call overhead once per buffer, not once
-per 16 bytes.  Batches of ``NUMPY_MIN_BLOCKS`` and more run through the
-numpy kernel in ``_numpy`` when numpy is importable.
+implemented.  One block at a time, SubBytes + ShiftRows + MixColumns are
+fused into four precomputed 32-bit T-tables and the round loop works on
+four column words, several times faster than the byte-oriented FIPS 197
+walk.  ``encrypt_blocks`` is the one batch function (CTR and GCM
+keystreams, CFB decryption): it runs that T-table loop per block below
+``SLICED_MIN_BLOCKS`` and, from there, a byte-sliced round loop that runs
+each round once over the whole batch.  Both are property-tested
+byte-identical to the textbook cipher in ``tests/crypto_reference.py``.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from . import _numpy as _nx
-
 __all__ = ["AES", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 16
 
-# Numpy pays a fixed 0.6-1 ms of array dispatch per batch, so it only
-# wins on large batches.  Numpy time over pure-Python time on a 2-core
-# x86 host (keystream, AES-128 and AES-256, three runs): 2.1-2.9 at 16
-# blocks, 1.1-1.3 at 32, 0.9-1.1 at 40, 0.5-0.7 at 64.
-NUMPY_MIN_BLOCKS = 40
+# The byte-sliced round loop costs about as much for one block as for a
+# few dozen, so it only wins on larger batches.  T-table time over sliced
+# time on a 2-core x86 host, median (quartiles) of 18 ratios (keystream
+# and ECB, AES-128/192/256, three runs): 0.44 (0.42-0.45) at 4 blocks,
+# 0.89 (0.84-0.95) at 8, 0.95 (0.93-1.03) at 9, 1.08 (1.02-1.23) at 10,
+# 1.29 (1.23-1.35) at 12, 1.62 (1.52-1.77) at 16.
+SLICED_MIN_BLOCKS = 10
 
 _MASK128 = (1 << 128) - 1
 
@@ -87,6 +88,14 @@ def _build_ttables() -> Tuple[List[int], List[int], List[int], List[int]]:
 
 
 _T0, _T1, _T2, _T3 = _build_ttables()
+
+# ``translate`` tables for the byte-sliced path: S, and 2·S (T0's top byte).
+_SBOX_BYTES = bytes(_SBOX)
+_DBL_BYTES = bytes(_T0[x] >> 24 for x in range(256))
+
+# ShiftRows as a renaming of byte planes: byte 4c + r of the shifted
+# state is byte 4((c + r) mod 4) + r of the input.
+_SHIFT_ROWS = [4 * ((i // 4 + i % 4) % 4) + i % 4 for i in range(16)]
 
 
 class AES:
@@ -175,49 +184,64 @@ class AES:
         The counter is a 128-bit big-endian block value, incremented by 1
         per block modulo 2^128.  ``step_mask`` narrows the incrementing
         portion (GCM increments only the low 32 bits); the high bits stay
-        fixed.  One call amortizes attribute lookups and the round-key
-        fetch over the whole buffer — this is the CTR/GCM hot loop.
+        fixed.  The counter blocks are one ``encrypt_blocks`` batch.
         """
-        if nblocks >= NUMPY_MIN_BLOCKS and _nx.HAVE_NUMPY:
-            return bytearray(_nx.aes_keystream(
-                self._round_keys, self.rounds, counter, nblocks, step_mask))
-        encrypt_words = self._encrypt_words
-        out = bytearray(16 * nblocks)
         fixed = counter & ~step_mask
-        ctr = counter & step_mask
-        pos = 0
-        for _ in range(nblocks):
-            n = fixed | ctr
-            e0, e1, e2, e3 = encrypt_words(
-                n >> 96, (n >> 64) & 0xFFFFFFFF, (n >> 32) & 0xFFFFFFFF, n & 0xFFFFFFFF
-            )
-            out[pos : pos + 16] = (
-                (e0 << 96) | (e1 << 64) | (e2 << 32) | e3
-            ).to_bytes(16, "big")
-            pos += 16
-            ctr = (ctr + 1) & step_mask
-        return out
+        return self.encrypt_blocks(b"".join(
+            (fixed | ((counter + i) & step_mask)).to_bytes(16, "big")
+            for i in range(nblocks)))
 
-    def encrypt_blocks(self, blocks) -> bytes:
+    def encrypt_blocks(self, blocks) -> bytearray:
         """ECB-encrypt a buffer of concatenated 16-byte blocks.
 
-        The blocks are independent, so this path vectorizes across them
-        (unlike a chained mode's sequential per-block loop).  Used by CFB
-        decryption, where every keystream input is a known ciphertext
-        block.
+        The blocks are independent, so they are one batch.  Below
+        ``SLICED_MIN_BLOCKS`` the T-table loop runs per block.  From
+        there the batch is byte-sliced: plane *i* is byte *i* of every
+        block, held as one little-endian int, and each round runs once
+        over all planes.  SubBytes and the MixColumns doubling are
+        ``translate`` calls through S and 2·S, ShiftRows renames planes,
+        and MixColumns and AddRoundKey are XORs of whole planes (a
+        round-key byte times ``0x0101...01`` is that byte in every block).
         """
         if len(blocks) % BLOCK_SIZE:
             raise ValueError("buffer must be a multiple of 16 bytes")
-        if len(blocks) >= BLOCK_SIZE * NUMPY_MIN_BLOCKS and _nx.HAVE_NUMPY:
-            return _nx.aes_batch_encrypt(self._round_keys, self.rounds, blocks)
-        encrypt_words = self._encrypt_words
+        nb = len(blocks) // BLOCK_SIZE
         out = bytearray(len(blocks))
-        for pos in range(0, len(blocks), 16):
-            n = int.from_bytes(blocks[pos : pos + 16], "big")
-            e0, e1, e2, e3 = encrypt_words(
-                n >> 96, (n >> 64) & 0xFFFFFFFF, (n >> 32) & 0xFFFFFFFF, n & 0xFFFFFFFF
-            )
-            out[pos : pos + 16] = (
-                (e0 << 96) | (e1 << 64) | (e2 << 32) | e3
-            ).to_bytes(16, "big")
-        return bytes(out)
+        if nb < SLICED_MIN_BLOCKS:
+            encrypt_words = self._encrypt_words
+            for pos in range(0, len(blocks), 16):
+                n = int.from_bytes(blocks[pos : pos + 16], "big")
+                e0, e1, e2, e3 = encrypt_words(
+                    n >> 96, (n >> 64) & 0xFFFFFFFF, (n >> 32) & 0xFFFFFFFF, n & 0xFFFFFFFF
+                )
+                out[pos : pos + 16] = (
+                    (e0 << 96) | (e1 << 64) | (e2 << 32) | e3
+                ).to_bytes(16, "big")
+            return out
+        ones = int.from_bytes(b"\x01" * nb, "little")
+        keys = [b"".join(w.to_bytes(4, "big") for w in rk) for rk in self._round_keys]
+        from_bytes, sbox, dbl = int.from_bytes, _SBOX_BYTES, _DBL_BYTES
+        planes = [from_bytes(blocks[i::16], "little") ^ keys[0][i] * ones
+                  for i in range(16)]
+        for k in keys[1:-1]:
+            shifted = [planes[j].to_bytes(nb, "little") for j in _SHIFT_ROWS]
+            s = [from_bytes(p.translate(sbox), "little") for p in shifted]
+            d = [from_bytes(p.translate(dbl), "little") for p in shifted]
+            # MixColumns, row r of a column (indices mod 4):
+            # 2·s_r ^ 3·s_r+1 ^ s_r+2 ^ s_r+3 = d_r ^ d_r+1 ^ s_r ^ t,
+            # where d = 2·s and t is the XOR of the column's four s.
+            planes = []
+            for c in range(0, 16, 4):
+                s0, s1, s2, s3 = s[c : c + 4]
+                d0, d1, d2, d3 = d[c : c + 4]
+                t = s0 ^ s1 ^ s2 ^ s3
+                planes += (d0 ^ d1 ^ t ^ s0 ^ k[c] * ones,
+                           d1 ^ d2 ^ t ^ s1 ^ k[c + 1] * ones,
+                           d2 ^ d3 ^ t ^ s2 ^ k[c + 2] * ones,
+                           d3 ^ d0 ^ t ^ s3 ^ k[c + 3] * ones)
+        # Final round: SubBytes + ShiftRows + AddRoundKey.
+        k = keys[-1]
+        for i, j in enumerate(_SHIFT_ROWS):
+            plane = from_bytes(planes[j].to_bytes(nb, "little").translate(sbox), "little")
+            out[i::16] = (plane ^ k[i] * ones).to_bytes(nb, "little")
+        return out

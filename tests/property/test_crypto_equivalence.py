@@ -1,6 +1,6 @@
 """Optimized crypto vs the textbook reference: byte-identical for every cipher.
 
-The optimized implementations (T-table AES and its numpy batch kernel,
+The optimized implementations (T-table and byte-sliced AES batches,
 table-driven GHASH, batched CTR/CFB/ChaCha keystream, chunked Poly1305)
 must be indistinguishable from the originals kept in
 ``tests/crypto_reference.py`` — over random keys, nonces, message sizes,
@@ -8,7 +8,7 @@ and arbitrary chunked-vs-whole call patterns, through both the direct
 classes and the ``new_aead``/``new_stream_cipher`` factories.  Pinned
 examples add the sizes random draws never reach: lane and block edges,
 the largest AEAD chunk, ChaCha20 batches of 511 and 513 blocks, and one
-block either side of the AES numpy cut.
+block either side of the AES sliced cut.
 """
 
 import hashlib
@@ -35,7 +35,7 @@ from repro.crypto import (
     new_stream_cipher,
     poly1305_mac,
 )
-from repro.crypto.aes import AES, NUMPY_MIN_BLOCKS
+from repro.crypto.aes import AES, SLICED_MIN_BLOCKS
 from repro.crypto.chacha20 import _keystream
 
 from .. import crypto_reference as ref
@@ -79,9 +79,9 @@ def _edge_sizes(extra_blocks=0):
             64 * (511 - extra_blocks), 64 * (513 - extra_blocks))
 
 
-# One AES batch either side of the numpy cut: pure Python below, numpy
-# (when installed) above.
-AES_CUT_SIZES = (16 * (NUMPY_MIN_BLOCKS - 1), 16 * (NUMPY_MIN_BLOCKS + 1))
+# One AES batch either side of the sliced cut: the T-table loop below,
+# the byte-sliced rounds above.
+AES_CUT_SIZES = (16 * (SLICED_MIN_BLOCKS - 1), 16 * (SLICED_MIN_BLOCKS + 1))
 
 
 def _at_sizes(sizes, arg, **fixed):
