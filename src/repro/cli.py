@@ -158,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run performance benchmarks and write BENCH_*.json",
     )
     p.add_argument("--suite",
-                   choices=["crypto", "sim", "analysis", "detector", "e2e",
-                            "shard", "all"],
+                   choices=["crypto", "sim", "analysis", "detector", "shard",
+                            "all"],
                    default="all", help="which benchmark suite(s) to run")
     p.add_argument("--quick", action="store_true",
                    help="smaller sizes/counts (CI smoke mode)")
@@ -428,34 +428,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_quickstart(args) -> int:
-    import random
+    from .runtime.scenarios import QuickstartConfig, quickstart_world
 
-    from .experiments import build_world
-    from .gfw import DetectorConfig
-    from .net import Impairment
-    from .shadowsocks import ShadowsocksClient, ShadowsocksServer
-    from .workloads import CurlDriver
-
-    impairment = Impairment(loss=args.loss, reorder=args.reorder)
-
-    def run_world(shard=None):
-        world = build_world(
-            seed=args.seed,
-            detector_config=DetectorConfig(base_rate=0.9),
-            detectors=_parse_detectors(args.detectors),
-            websites=["example.com", "gfw.report"],
-            impairment=impairment if impairment.active else None,
-            shard=shard)
-        server_host = world.add_server("ss-server", region="uk")
-        client_host = world.add_client("client")
-        ShadowsocksServer(server_host, 8388, "pw", args.method, args.profile)
-        client = ShadowsocksClient(client_host, server_host.ip, 8388, "pw",
-                                   args.method)
-        CurlDriver(client, rng=random.Random(args.seed),
-                   sites=["example.com", "gfw.report"]).run_schedule(
-                       args.connections, 60.0)
-        world.sim.run(until=args.connections * 60.0 + 3600)
-        return world
+    params = QuickstartConfig(seed=args.seed, connections=args.connections,
+                              profile=args.profile, method=args.method,
+                              loss=args.loss, reorder=args.reorder)
+    detectors = _parse_detectors(args.detectors)
 
     if args.shards is not None:
         if args.shards < 1:
@@ -467,7 +445,8 @@ def _cmd_quickstart(args) -> int:
         # hashes to it, so the tracked-flow counts sum to the serial run's.
         total_tracked = total_flagged = total_probes = 0
         for index in range(args.shards):
-            world = run_world(shard=(index, args.shards))
+            world = quickstart_world(params, detectors=detectors,
+                                     shard=(index, args.shards))
             tracked = world.gfw.inspected_connections
             flagged = world.gfw.flagged_connections
             probes = len(world.gfw.probe_log)
@@ -480,10 +459,10 @@ def _cmd_quickstart(args) -> int:
               f"flagged={total_flagged}  probes={total_probes}")
         return 0
 
-    world = run_world()
+    world = quickstart_world(params, detectors=detectors)
     print(f"connections: {args.connections}  flagged: "
           f"{world.gfw.flagged_connections}  probes: {len(world.gfw.probe_log)}")
-    if impairment.active:
+    if args.loss or args.reorder:
         counters = world.bus.counters
         retx = (counters.get("tcp.retransmit", 0)
                 + counters.get("tcp.syn.retry", 0))
@@ -607,11 +586,9 @@ def _cmd_bench(args) -> int:
     from pathlib import Path
 
     from .perf import (
-        append_history,
         bench_analysis,
         bench_crypto,
         bench_detector,
-        bench_e2e,
         bench_shard,
         bench_sim,
         compare_entries,
@@ -645,15 +622,9 @@ def _cmd_bench(args) -> int:
             suites["detector"] = bench_detector(
                 packets=2000 if args.quick else 20000,
                 repeats=1 if args.quick else 3, progress=progress)
-        if args.suite in ("e2e", "all"):
-            suites["e2e"] = bench_e2e(
-                connections=10 if args.quick else 40,
-                repeats=1 if args.quick else 5, progress=progress)
         if args.suite in ("shard", "all"):
             suites["shard"] = bench_shard(
-                flows=20000 if args.quick else 1_000_000,
-                workers=(1, 2) if args.quick else (1, 2, 4, 8),
-                progress=progress)
+                flows=20000 if args.quick else 1_000_000, progress=progress)
         return suites
 
     suites = _run_profiled(args.cprofile, execute)
@@ -666,16 +637,6 @@ def _cmd_bench(args) -> int:
         all_entries.extend(entries)
     for entry in all_entries:
         print(f"  {entry.name:<40} {entry.value:>12.3f} {entry.unit}")
-    if all_entries:
-        # BENCH_*.json snapshots are overwritten per run; the history
-        # log accumulates one line per measurement, keeping the perf
-        # trajectory in-repo (anchored beside the snapshots, so the
-        # default out-dir from the repo root appends to
-        # benchmarks/history.jsonl).
-        history = out_dir / "benchmarks" / "history.jsonl"
-        count = append_history(history, all_entries)
-        print(f"appended {count} line(s) to {history}")
-
     if args.compare:
         comparison = compare_entries(all_entries, load_entries(args.compare),
                                      tolerance=args.tolerance)

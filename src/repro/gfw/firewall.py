@@ -328,9 +328,8 @@ class GreatFirewall(Middlebox):
             self.sim.bus.incr("gfw.conn.reflag.suppressed")
             return
         ctx = DetectorContext(seg.payload, now=now, rng=self.rng, flow=flow)
-        # Route through the batch entry (PR 5): for a single-context
-        # batch every stage draws RNG identically to ``evaluate``, and
-        # stages with vectorized batch paths get to use them.
+        # A one-context batch: every stage draws RNG exactly as
+        # ``evaluate`` does.
         result = self.pipeline.evaluate_batch([ctx])[0]
         if not result.flagged:
             return

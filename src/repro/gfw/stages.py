@@ -8,7 +8,7 @@ VMess-style proxies.  This module makes that space first-class:
 
 * :class:`DetectorStage` — the in-path protocol: ``evaluate`` one
   feature packet (a :class:`DetectorContext`) to a :class:`StageResult`,
-  or ``evaluate_batch`` a queue of them for throughput;
+  or ``evaluate_batch`` a sequence of them in order;
 * a **registry** (:func:`register_stage` / :func:`build_stage`) that
   constructs stages from JSON-able specs, so scenario configs and the
   CLI (``--detectors``) can swap and compose detectors without code;
@@ -84,18 +84,26 @@ class DetectorContext:
     ensemble of three entropy-consuming stages at one histogram pass.
     ``flow`` is the sensor-layer :class:`~repro.gfw.flowtable.FlowState`
     (``None`` for offline corpus evaluation); stateful stages keep
-    per-connection scratch in ``flow.scratchpad()``.
+    per-connection scratch in ``flow.scratchpad()``.  Without a caller
+    RNG, :attr:`rng` is a ``Random(0)`` built on first use, so stages
+    that never draw cost nothing for it.
     """
 
-    __slots__ = ("payload", "now", "rng", "flow", "_entropy")
+    __slots__ = ("payload", "now", "_rng", "flow", "_entropy")
 
     def __init__(self, payload: bytes, *, now: float = 0.0,
                  rng: Optional[random.Random] = None, flow: Any = None):
         self.payload = payload
         self.now = now
-        self.rng = rng if rng is not None else random.Random(0)
+        self._rng = rng
         self.flow = flow
         self._entropy: Optional[float] = None
+
+    @property
+    def rng(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(0)
+        return self._rng
 
     @property
     def entropy(self) -> float:
@@ -117,13 +125,10 @@ class DetectorStage:
         raise NotImplementedError
 
     def evaluate_batch(self, ctxs: Sequence[DetectorContext]) -> List[StageResult]:
-        """Evaluate a queue of feature packets.
+        """Evaluate a sequence of feature packets.
 
-        Semantically identical to mapping :meth:`evaluate` in order
-        (property-tested); stages override it to hoist per-call overhead
-        out of the loop for throughput-critical paths — the detector
-        benchmark and offline corpus sweeps feed thousands of queued
-        first-data packets through here.
+        Maps :meth:`evaluate` over ``ctxs`` in order.  The censor calls
+        it with the one feature packet it is deciding.
         """
         return [self.evaluate(ctx) for ctx in ctxs]
 
@@ -195,15 +200,6 @@ class PassiveStage(DetectorStage):
     def evaluate(self, ctx: DetectorContext) -> StageResult:
         probability = self.detector.flag_probability(ctx.payload)
         return StageResult(ctx.rng.random() < probability, probability, self.kind)
-
-    def evaluate_batch(self, ctxs: Sequence[DetectorContext]) -> List[StageResult]:
-        flag_probability = self.detector.flag_probability
-        kind = self.kind
-        return [
-            StageResult(ctx.rng.random() < p, p, kind)
-            for ctx in ctxs
-            for p in (flag_probability(ctx.payload),)
-        ]
 
 
 @register_stage

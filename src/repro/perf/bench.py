@@ -1,4 +1,5 @@
-"""Benchmark suites for the crypto, simulator, and end-to-end layers.
+"""Benchmark suites for the crypto, simulator, analysis, detector and
+shard layers.
 
 Every measurement is emitted as a :class:`BenchEntry` with the schema
 
@@ -8,10 +9,13 @@ where ``value`` is always higher-is-better (MB/s, events/s, packets/s),
 so a single tolerance rule — ``current >= tolerance * baseline`` —
 covers every entry in :mod:`repro.perf.compare`.
 
-Timing discipline: each measurement runs ``repeats`` times and keeps the
-*best* wall-clock (the standard way to suppress scheduler noise for
-throughput numbers); buffers are deterministic pseudo-random bytes so
-runs are comparable across hosts and revisions.
+Timing discipline: the layer suites run each measurement ``repeats``
+times and keep the *best* wall-clock (the standard way to suppress
+scheduler noise for throughput numbers); buffers are deterministic
+pseudo-random bytes so runs are comparable across hosts and revisions.
+The shard suite times one run.  End-to-end throughput is not measured
+here: ``bench/run.py`` times whole workloads cold, in fresh
+interpreters.
 """
 
 from __future__ import annotations
@@ -28,11 +32,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 __all__ = [
     "BenchEntry",
-    "append_history",
     "bench_analysis",
     "bench_crypto",
     "bench_detector",
-    "bench_e2e",
     "bench_shard",
     "bench_sim",
     "git_rev",
@@ -93,61 +95,6 @@ def write_entries(path, entries: Iterable[BenchEntry]) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def append_history(path, entries: Iterable[BenchEntry], *,
-                   keep_last: int = 200) -> int:
-    """Append one JSON line per measurement to the bench history log.
-
-    ``BENCH_*.json`` snapshots are overwritten every run; the history
-    file keeps the perf trajectory in-repo.  Each line is the minimal
-    durable schema ``{name, value, git_rev, timestamp}`` (timestamp in
-    Unix seconds, UTC) so lines from different revisions stay
-    comparable.  Returns the number of lines appended.
-
-    The log is bounded: after appending, only the newest ``keep_last``
-    lines per metric name survive (oldest rotate out, relative order
-    preserved), so the in-repo file cannot grow without limit.  Lines
-    that fail to parse are kept as-is rather than silently destroyed.
-    Pass ``keep_last=0`` to disable rotation.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    stamp = int(time.time())
-    lines = [
-        json.dumps({"name": e.name, "value": e.value, "git_rev": e.git_rev,
-                    "timestamp": stamp}, sort_keys=True)
-        for e in entries
-    ]
-    with path.open("a") as fh:
-        fh.write("".join(line + "\n" for line in lines))
-    if keep_last > 0:
-        _rotate_history(path, keep_last)
-    return len(lines)
-
-
-def _rotate_history(path: Path, keep_last: int) -> None:
-    """Trim the history log to the newest ``keep_last`` lines per name."""
-    all_lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    counts: Dict[str, int] = {}
-    kept = [False] * len(all_lines)
-    for i in range(len(all_lines) - 1, -1, -1):
-        try:
-            name = json.loads(all_lines[i]).get("name")
-        except ValueError:
-            name = None
-        if not isinstance(name, str):
-            kept[i] = True
-            continue
-        if counts.get(name, 0) < keep_last:
-            counts[name] = counts.get(name, 0) + 1
-            kept[i] = True
-    if all(kept):
-        return
-    survivors = [ln for ln, keep in zip(all_lines, kept) if keep]
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("".join(ln + "\n" for ln in survivors))
-    tmp.replace(path)
-
-
 def _best_of(fn: Callable[[], int], repeats: int) -> float:
     """Run ``fn`` (returning a work count) ``repeats`` times; best rate.
 
@@ -163,43 +110,6 @@ def _best_of(fn: Callable[[], int], repeats: int) -> float:
         try:
             start = time.perf_counter()
             work = fn()
-            elapsed = time.perf_counter() - start
-        finally:
-            if was_enabled:
-                gc.enable()
-        if elapsed > 0:
-            best = max(best, work / elapsed)
-    return best
-
-
-def _best_of_staged(setup: Callable[[], object],
-                    drive: Callable[[object], int], repeats: int) -> float:
-    """Best rate of ``drive(setup())`` with only the drive on the clock.
-
-    The warm-cache e2e methodology (EXPERIMENTS.md): ``setup`` builds the
-    world — topology, sessions, schedules, none of it packet processing —
-    outside the timed region; ``drive`` then runs the event loop and
-    returns the work count.  GC hygiene matches :func:`_best_of` (collect
-    before, cyclic GC paused during the timed drive).  A short busy spin
-    precedes each timed drive so frequency scaling has ramped the core
-    up before the clock starts (the drive itself is tens of
-    milliseconds — far shorter than typical governor ramp times — so
-    without the spin the measurement is dominated by the idle clock).
-    """
-    best = 0.0
-    for _ in range(max(1, repeats)):
-        state = setup()
-        gc.collect()
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            spin_until = time.perf_counter() + 0.15
-            x = 0
-            while time.perf_counter() < spin_until:
-                for _spin in range(5000):
-                    x += 1
-            start = time.perf_counter()
-            work = drive(state)
             elapsed = time.perf_counter() - start
         finally:
             if was_enabled:
@@ -447,8 +357,8 @@ def bench_detector(*, packets: int = 20000, repeats: int = 3,
     ``packets`` feature packets, and times each registered in-path
     pipeline shape — the paper's passive classifier, the deterministic
     entropy and VMess stages, and a three-member weighted ensemble —
-    plus the batched passive path, reporting flagged-or-not decisions
-    per wall-clock second (flags/s).
+    plus the passive stage fed through ``evaluate_batch``, reporting
+    flagged-or-not decisions per wall-clock second (flags/s).
     """
     from repro.gfw.stages import DetectorContext, build_stage, training_corpus
 
@@ -500,115 +410,41 @@ def bench_detector(*, packets: int = 20000, repeats: int = 3,
     return _stamp(entries)
 
 
-# -------------------------------------------------------------- end-to-end
-
-
-def bench_e2e(*, connections: int = 40, repeats: int = 1,
-              method: str = "chacha20-ietf-poly1305",
-              progress: Optional[Callable[[str], None]] = None,
-              ) -> List[BenchEntry]:
-    """Packets/s of a full tunnel scenario: client → GFW → server and back.
-
-    Builds the same world as ``repro quickstart`` (Shadowsocks client +
-    server under the detector, curl-like workload) and measures delivered
-    TCP segments per wall-clock second of the *drive* — crypto, TCP,
-    detector, and event loop all on the clock; world construction
-    (topology, session objects, workload schedules) happens outside the
-    timed region, per the warm-cache methodology in EXPERIMENTS.md.
-    """
-    from repro.experiments import build_world
-    from repro.gfw import DetectorConfig
-    from repro.shadowsocks import ShadowsocksClient, ShadowsocksServer
-    from repro.workloads import CurlDriver
-
-    if progress:
-        progress(f"e2e: {connections} connections, {method}")
-
-    segments = {"n": 0}
-
-    def setup():
-        world = build_world(seed=7,
-                            detector_config=DetectorConfig(base_rate=0.9),
-                            websites=["example.com", "gfw.report"])
-        server_host = world.add_server("ss-server", region="uk")
-        client_host = world.add_client("client")
-        ShadowsocksServer(server_host, 8388, "pw", method, "outline-1.0.7")
-        client = ShadowsocksClient(client_host, server_host.ip, 8388, "pw",
-                                   method)
-        CurlDriver(client, rng=random.Random(7),
-                   sites=["example.com", "gfw.report"]).run_schedule(
-                       connections, 60.0)
-        return world
-
-    def drive(world) -> int:
-        world.sim.run(until=connections * 60.0 + 3600)
-        segments["n"] = world.net.segments_delivered
-        return world.net.segments_delivered
-
-    rate = _best_of_staged(setup, drive, repeats)
-    return _stamp([BenchEntry(
-        name="e2e.shadowsocks_tunnel", unit="packets/s", value=rate,
-        params={"connections": connections, "method": method,
-                "segments": segments["n"]})])
-
-
 # ------------------------------------------------------------------- shard
 
 
 def bench_shard(*, flows: int = 1_000_000,
-                workers: Iterable[int] = (1, 2, 4, 8),
                 progress: Optional[Callable[[str], None]] = None,
                 ) -> List[BenchEntry]:
-    """Sharded scale-1m throughput at several worker counts.
+    """Wall-clock throughput of one sharded ``scale-1m`` run.
 
     Runs the ``scale-1m`` scenario (``flows`` synthetic border-crossing
-    flows through the censor hot path) under ``run_sharded`` at each
-    worker count and emits three entries per count:
+    flows through the censor hot path) once under ``run_sharded`` with
+    one shard and one worker process per CPU, and divides its merged
+    counters by the run's wall time, orchestration and merge included:
 
-    * ``shard.events_per_s.wN`` — simulator events per wall-clock
-      second of the whole sharded run (orchestration included).  On a
-      single-CPU host the shards of one run execute sequentially, so
-      this number does *not* grow with N there.
-    * ``shard.packets_per_s.wN`` — tracked segments per wall second.
-    * ``shard.aggregate_events_per_s.wN`` — the sum over shards of
-      each shard's isolated events/s.  This is the capacity the shard
-      layout exposes: with one process per shard on an unloaded
-      N-core host, wall rate approaches this number.  It is the
-      scaling metric the shard suite gates on.
+    * ``shard.events_per_s`` — simulator events per wall-clock second;
+    * ``shard.packets_per_s`` — tracked segments per wall-clock second.
 
-    The actual process parallelism is ``min(workers, cpu_count)`` and
-    is recorded in each entry's params (``jobs``/``cpus``) so numbers
-    are never read as wall-clock speedup a host cannot deliver.
+    The CPU count, which is also the shard and job count, is recorded
+    in each entry's params.
     """
     import os
 
     from repro.runtime.runner import run_sharded
 
     cpus = os.cpu_count() or 1
-    entries: List[BenchEntry] = []
-    for count in workers:
-        jobs = min(count, cpus)
-        if progress:
-            progress(f"shard: {flows} flows across {count} shard(s), "
-                     f"jobs={jobs}")
-        sharded = run_sharded("scale-1m", seed=0, overrides={"flows": flows},
-                              shards=count, jobs=jobs, use_cache=False)
-        counters = sharded.merged.events["counters"]
-        events = counters.get("sim.events", 0)
-        packets = counters.get("scale.segments", 0)
-        aggregate = sum(
-            shard.events["counters"].get("sim.events", 0) / shard.wall_time
-            for shard in sharded.shards if shard.wall_time > 0
-        )
-        params = {"flows": flows, "workers": count, "jobs": jobs,
-                  "cpus": cpus}
-        entries.append(BenchEntry(
-            name=f"shard.events_per_s.w{count}", unit="events/s",
-            value=events / sharded.wall_time, params=dict(params)))
-        entries.append(BenchEntry(
-            name=f"shard.packets_per_s.w{count}", unit="packets/s",
-            value=packets / sharded.wall_time, params=dict(params)))
-        entries.append(BenchEntry(
-            name=f"shard.aggregate_events_per_s.w{count}", unit="events/s",
-            value=aggregate, params=dict(params)))
-    return _stamp(entries)
+    if progress:
+        progress(f"shard: {flows} flows across {cpus} shard(s), jobs={cpus}")
+    sharded = run_sharded("scale-1m", seed=0, overrides={"flows": flows},
+                          shards=cpus, jobs=cpus, use_cache=False)
+    counters = sharded.merged.events["counters"]
+    params = {"flows": flows, "cpus": cpus}
+    return _stamp([
+        BenchEntry(name="shard.events_per_s", unit="events/s",
+                   value=counters.get("sim.events", 0) / sharded.wall_time,
+                   params=dict(params)),
+        BenchEntry(name="shard.packets_per_s", unit="packets/s",
+                   value=counters.get("scale.segments", 0) / sharded.wall_time,
+                   params=dict(params)),
+    ])

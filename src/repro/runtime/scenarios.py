@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import (
     AnalysisPipeline,
@@ -45,12 +45,13 @@ from ..workloads import CurlDriver, http_get_request
 from .events import EventBus
 from .scenario import Scenario, register
 from .sharding import Sharder, derive_seed, fold_snapshots
-from .topology import build_world
+from .topology import World, build_world
 
 # Registering imports its module; the scale-1m scenario lives there.
 from . import scale  # noqa: F401  (registers on import)
 
-__all__: List[str] = []  # import for side effects only
+# Importing this module registers the builtin scenarios.
+__all__ = ["QuickstartConfig", "quickstart_world"]
 
 
 def _analysis_payload(result) -> Dict[str, object]:
@@ -128,13 +129,26 @@ class _QuickstartResult:
     connections: int
 
 
-def _build_quickstart(params: QuickstartConfig) -> _QuickstartResult:
+def quickstart_world(params: QuickstartConfig, *, detectors: Any = None,
+                     shard: Optional[Tuple[int, int]] = None) -> World:
+    """Build the quickstart world and run its workload to completion.
+
+    One client tunnels ``params.connections`` fetches through a
+    Shadowsocks server while the censor watches.  ``detectors`` (a
+    detector-stage spec) and ``shard`` (``(index, count)``, see
+    :func:`~repro.runtime.topology.build_world`) are the CLI's
+    ``--detectors`` and ``--shards``; they stay out of
+    :class:`QuickstartConfig`, so the registered scenario's params and
+    its golden digest do not depend on them.
+    """
     impairment = Impairment(loss=params.loss, reorder=params.reorder)
     world = build_world(
         seed=params.seed,
         detector_config=DetectorConfig(base_rate=0.9),
+        detectors=detectors,
         websites=["example.com", "gfw.report"],
-        impairment=impairment if impairment.active else None)
+        impairment=impairment if impairment.active else None,
+        shard=shard)
     server_host = world.add_server("ss-server", region="uk")
     client_host = world.add_client("client")
     proto = build_protocol({"kind": "shadowsocks", "password": "pw",
@@ -146,7 +160,12 @@ def _build_quickstart(params: QuickstartConfig) -> _QuickstartResult:
                sites=["example.com", "gfw.report"]).run_schedule(
                    params.connections, 60.0)
     world.sim.run(until=params.connections * 60.0 + 3600)
-    return _QuickstartResult(world=world, connections=params.connections)
+    return world
+
+
+def _build_quickstart(params: QuickstartConfig) -> _QuickstartResult:
+    return _QuickstartResult(world=quickstart_world(params),
+                             connections=params.connections)
 
 
 def _summarize_quickstart(result: _QuickstartResult) -> Dict[str, object]:

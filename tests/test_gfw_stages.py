@@ -221,6 +221,14 @@ def test_context_entropy_memoized():
     assert c.entropy == pytest.approx(8.0)
 
 
+def test_context_rng_is_the_callers_or_a_lazy_seed_zero_stream():
+    rng = random.Random(9)
+    assert DetectorContext(b"x", rng=rng).rng is rng
+    c = DetectorContext(b"x")
+    assert c.rng is c.rng
+    assert c.rng.random() == random.Random(0).random()
+
+
 def test_training_corpus_deterministic():
     a = training_corpus(seed=5, samples=16)
     b = training_corpus(seed=5, samples=16)

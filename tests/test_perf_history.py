@@ -1,82 +1,10 @@
-"""History-log rotation and bench-compare edge cases."""
+"""Bench-compare edge cases: one-sided rows and real regressions."""
 
-import json
-
-from repro.perf import (
-    BenchEntry,
-    append_history,
-    compare_entries,
-    format_comparison,
-)
+from repro.perf import BenchEntry, compare_entries, format_comparison
 
 
 def _entry(name, value=1.0):
     return BenchEntry(name=name, unit="ops/s", value=value, git_rev="r0")
-
-
-def _lines(path):
-    return [json.loads(line) for line in path.read_text().splitlines()]
-
-
-# --------------------------------------------------------- history rotation
-
-
-def test_append_writes_the_durable_schema(tmp_path):
-    path = tmp_path / "history.jsonl"
-    count = append_history(path, [_entry("a", 2.0), _entry("b", 3.0)])
-    assert count == 2
-    lines = _lines(path)
-    assert [ln["name"] for ln in lines] == ["a", "b"]
-    assert set(lines[0]) == {"name", "value", "git_rev", "timestamp"}
-    assert lines[0]["value"] == 2.0
-
-
-def test_rotation_keeps_newest_per_name(tmp_path):
-    path = tmp_path / "history.jsonl"
-    for value in range(7):
-        append_history(path, [_entry("hot", float(value))], keep_last=3)
-    assert [ln["value"] for ln in _lines(path)] == [4.0, 5.0, 6.0]
-
-
-def test_rotation_is_per_name_not_global(tmp_path):
-    path = tmp_path / "history.jsonl"
-    append_history(path, [_entry("rare", 9.0)], keep_last=2)
-    for value in range(5):
-        append_history(path, [_entry("hot", float(value))], keep_last=2)
-    lines = _lines(path)
-    # The single "rare" line survives even though "hot" rotated heavily,
-    # and original relative order is preserved.
-    assert [(ln["name"], ln["value"]) for ln in lines] == [
-        ("rare", 9.0), ("hot", 3.0), ("hot", 4.0)]
-
-
-def test_rotation_preserves_unparseable_lines(tmp_path):
-    path = tmp_path / "history.jsonl"
-    path.write_text("not json at all\n")
-    for value in range(3):
-        append_history(path, [_entry("hot", float(value))], keep_last=1)
-    raw = path.read_text().splitlines()
-    assert raw[0] == "not json at all"
-    assert json.loads(raw[1])["value"] == 2.0
-
-
-def test_keep_last_zero_disables_rotation(tmp_path):
-    path = tmp_path / "history.jsonl"
-    for value in range(5):
-        append_history(path, [_entry("hot", float(value))], keep_last=0)
-    assert len(_lines(path)) == 5
-
-
-def test_default_cap_bounds_the_file(tmp_path):
-    path = tmp_path / "history.jsonl"
-    batch = [_entry("hot", float(i)) for i in range(250)]
-    append_history(path, batch)
-    lines = _lines(path)
-    assert len(lines) == 200
-    assert lines[0]["value"] == 50.0 and lines[-1]["value"] == 249.0
-
-
-# ------------------------------------------------------ compare edge cases
 
 
 def test_baseline_only_entry_is_missing_not_a_regression():
