@@ -28,11 +28,15 @@ Event vocabulary (see :mod:`repro.runtime.events` for the emitters):
 ``capture``         a tapped host capture saw a segment (pipeline-local)
 ==================  ====================================================
 
-Analyzer state is JSON-serialisable (``state_dict``/``load_state``), so
-it travels inside cached :class:`~repro.runtime.scenario.RunResult`s and
-across process boundaries: the runner merges analyzer *states* from
-parallel multi-seed shards instead of shipping raw captures, and
-``python -m repro analyze`` re-finalizes a cached run without
+Each analyzer declares the attributes that hold its state once
+(``state_fields``); the base class serializes them to plain JSON types
+and restores them.  A run's analysis section is
+``{name: {analyzer, config, state, output}}``
+(:meth:`AnalysisPipeline.payload`), so state travels inside cached
+:class:`~repro.runtime.scenario.RunResult`s and across process
+boundaries: :func:`merge_sections` folds the states of several seeds or
+flow shards back into one pipeline instead of shipping raw captures,
+and ``python -m repro analyze`` re-finalizes a cached run without
 re-simulating anything.
 
 The batch functions (:func:`~repro.analysis.classify.extract_probes`
@@ -43,6 +47,7 @@ assert the streaming outputs are byte-identical to them.
 from __future__ import annotations
 
 import base64
+import inspect
 import random
 from typing import (
     Any,
@@ -84,6 +89,7 @@ __all__ = [
     "analyzer_kinds",
     "build_analyzer",
     "merge_analysis",
+    "merge_sections",
     "register_analyzer",
     "restore_analyzer",
     "series",
@@ -110,30 +116,50 @@ def series(values: Iterable[float]) -> Dict[str, float]:
             "min": ordered[0], "max": ordered[-1]}
 
 
+def _to_json(value: Any) -> Any:
+    """A JSON-shaped deep copy: sets become sorted lists, tuples lists."""
+    if isinstance(value, dict):
+        return {key: _to_json(item) for key, item in value.items()}
+    if isinstance(value, set):
+        return sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    return value
+
+
 # ------------------------------------------------------------------ protocol
 
 
 class Analyzer:
     """One online reduction over the event stream.
 
-    Subclasses set a unique ``kind``, register with
-    :func:`register_analyzer`, and keep three invariants:
+    A subclass sets a unique ``kind``, names the attributes that hold
+    its state in ``state_fields``, stores each constructor parameter in
+    the same-named attribute, registers with :func:`register_analyzer`,
+    and writes ``__init__``, ``observe``, ``merge`` and ``finalize``:
 
     * ``observe`` must be cheap and must not retain unbounded per-packet
       state — analyzer memory is the sufficient statistic of its output,
       not the traffic that produced it;
-    * ``merge`` folds another instance (same kind, same config) into
-      this one so shard states combine associatively in seed order;
-    * ``state_dict``/``load_state`` round-trip the full state through
-      plain JSON types, which is what lets states cross process
-      boundaries and live in cached results.
+    * ``merge`` folds another instance of the same kind and config into
+      this one (``_check_mergeable`` enforces both), so shard states
+      combine associatively in seed order.
+
+    The base class derives the serialized form from those declarations:
+    ``config`` reads the constructor parameters back, ``state_dict``
+    copies the ``state_fields`` into plain JSON types and ``load_state``
+    restores them, which is what lets states cross process boundaries
+    and live in cached results.  A state JSON cannot carry as is (bytes,
+    tuple keys) overrides ``state_dict`` and ``load_state``.
     """
 
     kind: ClassVar[str] = ""
+    state_fields: ClassVar[Tuple[str, ...]] = ()
 
     def config(self) -> Dict[str, Any]:
         """JSON-able constructor kwargs (identity of the reduction)."""
-        return {}
+        params = inspect.signature(type(self)).parameters
+        return {name: _to_json(getattr(self, name)) for name in params}
 
     def observe(self, event: Mapping[str, Any]) -> None:
         raise NotImplementedError
@@ -145,15 +171,35 @@ class Analyzer:
         raise NotImplementedError
 
     def state_dict(self) -> Dict[str, Any]:
-        raise NotImplementedError
+        """The ``state_fields`` as JSON-shaped deep copies."""
+        return {name: _to_json(getattr(self, name))
+                for name in self.state_fields}
 
     def load_state(self, state: Mapping[str, Any]) -> None:
-        raise NotImplementedError
+        """Restore ``state_dict`` output into this analyzer.
+
+        Each field comes back as a deep copy in the type a fresh
+        instance of this config holds (a set stays a set), and a field
+        the state lacks keeps that fresh instance's value.
+        """
+        fresh = type(self)(**self.config())
+        for name in self.state_fields:
+            default = getattr(fresh, name)
+            value = state.get(name)
+            if value is None:
+                value = default
+            setattr(self, name, (set(value) if isinstance(default, set)
+                                 else _to_json(value)))
 
     def _check_mergeable(self, other: "Analyzer") -> None:
         if type(other) is not type(self):
             raise TypeError(
                 f"cannot merge {type(other).__name__} into {type(self).__name__}"
+            )
+        if other.config() != self.config():
+            raise ValueError(
+                f"cannot merge {type(self).__name__} with config "
+                f"{other.config()} into one with {self.config()}"
             )
 
 
@@ -188,6 +234,24 @@ def restore_analyzer(spec: Mapping[str, Any]) -> Analyzer:
     return analyzer
 
 
+def merge_sections(
+    per_run: Sequence[Mapping[str, Mapping[str, Any]]],
+) -> "AnalysisPipeline":
+    """Restore the first run's analyzers and fold in the later runs' states.
+
+    ``per_run`` holds one serialized section (``{name: spec}``) per run,
+    in merge order; a later run that lacks a name is skipped.
+    """
+    analyzers: Dict[str, Analyzer] = {}
+    for name, spec in per_run[0].items():
+        analyzer = restore_analyzer(spec)
+        for later in per_run[1:]:
+            if later.get(name) is not None:
+                analyzer.merge(restore_analyzer(later[name]))
+        analyzers[name] = analyzer
+    return AnalysisPipeline(analyzers)
+
+
 def merge_analysis(
     per_run: Sequence[Mapping[str, Mapping[str, Any]]],
 ) -> Dict[str, Dict[str, Any]]:
@@ -199,15 +263,7 @@ def merge_analysis(
     """
     if not per_run or any(not section for section in per_run):
         return {}
-    merged: Dict[str, Dict[str, Any]] = {}
-    for name in per_run[0]:
-        analyzer = restore_analyzer(per_run[0][name])
-        for later in per_run[1:]:
-            spec = later.get(name)
-            if spec is not None:
-                analyzer.merge(restore_analyzer(spec))
-        merged[name] = analyzer.finalize()
-    return merged
+    return merge_sections(per_run).outputs()
 
 
 # ------------------------------------------------------------------ pipeline
@@ -304,6 +360,7 @@ class ProbeTally(Analyzer):
     """Per-type, per-source, per-target probe counts (Figures 2-3)."""
 
     kind = "probe_tally"
+    state_fields = ("count", "by_type", "src_ips", "by_server")
 
     def __init__(self) -> None:
         self.count = 0
@@ -339,23 +396,13 @@ class ProbeTally(Analyzer):
             "by_server": dict(sorted(self.by_server.items())),
         }
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"count": self.count, "by_type": dict(self.by_type),
-                "src_ips": sorted(self.src_ips),
-                "by_server": dict(self.by_server)}
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.count = int(state.get("count", 0))
-        self.by_type = dict(state.get("by_type") or {})
-        self.src_ips = set(state.get("src_ips") or [])
-        self.by_server = dict(state.get("by_server") or {})
-
 
 @register_analyzer
 class FlaggedConnections(Analyzer):
     """How many feature packets the passive detector flagged."""
 
     kind = "flagged_connections"
+    state_fields = ("count",)
 
     def __init__(self) -> None:
         self.count = 0
@@ -372,12 +419,6 @@ class FlaggedConnections(Analyzer):
     def finalize(self) -> Dict[str, Any]:
         return {"count": self.count}
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"count": self.count}
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.count = int(state.get("count", 0))
-
 
 @register_analyzer
 class ReplayDelays(Analyzer):
@@ -389,6 +430,7 @@ class ReplayDelays(Analyzer):
     """
 
     kind = "replay_delays"
+    state_fields = ("first", "all")
 
     def __init__(self) -> None:
         self.first: Dict[str, float] = {}
@@ -416,19 +458,13 @@ class ReplayDelays(Analyzer):
     def finalize(self) -> Dict[str, Any]:
         return {"first": series(self.first.values()), "all": series(self.all)}
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"first": dict(self.first), "all": list(self.all)}
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.first = dict(state.get("first") or {})
-        self.all = list(state.get("all") or [])
-
 
 @register_analyzer
 class BlockEvents(Analyzer):
     """§6 block-rule installations, in event order."""
 
     kind = "block_events"
+    state_fields = ("events",)
 
     def __init__(self) -> None:
         self.events: List[Dict[str, Any]] = []
@@ -451,12 +487,6 @@ class BlockEvents(Analyzer):
     def finalize(self) -> Dict[str, Any]:
         return {"count": len(self.events), "events": list(self.events)}
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"events": list(self.events)}
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.events = [dict(e) for e in state.get("events") or []]
-
 
 @register_analyzer
 class ProbeBlockDelays(Analyzer):
@@ -471,6 +501,7 @@ class ProbeBlockDelays(Analyzer):
     """
 
     kind = "probe_block_delays"
+    state_fields = ("first_flagged", "first_probe", "blocked_at")
 
     def __init__(self) -> None:
         self.first_flagged: Dict[str, float] = {}
@@ -529,19 +560,6 @@ class ProbeBlockDelays(Analyzer):
             "flag_to_block": series(flag_to_block),
         }
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"first_flagged": dict(self.first_flagged),
-                "first_probe": dict(self.first_probe),
-                "blocked_at": dict(self.blocked_at)}
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.first_flagged = {str(k): float(v) for k, v
-                              in (state.get("first_flagged") or {}).items()}
-        self.first_probe = {str(k): float(v) for k, v
-                            in (state.get("first_probe") or {}).items()}
-        self.blocked_at = {str(k): float(v) for k, v
-                           in (state.get("blocked_at") or {}).items()}
-
 
 @register_analyzer
 class VerdictRecords(Analyzer):
@@ -554,6 +572,7 @@ class VerdictRecords(Analyzer):
     """
 
     kind = "verdict_records"
+    state_fields = ("count", "by_stage", "scores", "by_server")
 
     def __init__(self, per_server_cap: int = 1024) -> None:
         self.per_server_cap = per_server_cap
@@ -561,9 +580,6 @@ class VerdictRecords(Analyzer):
         self.by_stage: Dict[str, int] = {}
         self.scores: List[float] = []   # sufficient stats kept small below
         self.by_server: Dict[str, int] = {}
-
-    def config(self) -> Dict[str, Any]:
-        return {"per_server_cap": self.per_server_cap}
 
     def observe(self, event: Mapping[str, Any]) -> None:
         if event.get("kind") != "verdict":
@@ -595,19 +611,6 @@ class VerdictRecords(Analyzer):
             "by_server": dict(sorted(self.by_server.items())),
         }
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"count": self.count, "by_stage": dict(self.by_stage),
-                "scores": list(self.scores),
-                "by_server": dict(self.by_server)}
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.count = int(state.get("count", 0))
-        self.by_stage = {str(k): int(v)
-                         for k, v in (state.get("by_stage") or {}).items()}
-        self.scores = [float(v) for v in state.get("scores") or []]
-        self.by_server = {str(k): int(v)
-                          for k, v in (state.get("by_server") or {}).items()}
-
 
 @register_analyzer
 class FlowCensus(Analyzer):
@@ -622,6 +625,7 @@ class FlowCensus(Analyzer):
     """
 
     kind = "flow_census"
+    state_fields = ("flows", "flagged", "by_port", "by_stage", "entropy_hist")
 
     def __init__(self, bins: int = 16) -> None:
         self.bins = int(bins)
@@ -631,9 +635,6 @@ class FlowCensus(Analyzer):
         self.by_port: Dict[str, List[int]] = {}
         self.by_stage: Dict[str, int] = {}
         self.entropy_hist = [0] * self.bins
-
-    def config(self) -> Dict[str, Any]:
-        return {"bins": self.bins}
 
     def observe(self, event: Mapping[str, Any]) -> None:
         if event.get("kind") != "scale.flow":
@@ -657,8 +658,6 @@ class FlowCensus(Analyzer):
     def merge(self, other: Analyzer) -> None:
         self._check_mergeable(other)
         assert isinstance(other, FlowCensus)
-        if other.bins != self.bins:
-            raise ValueError("cannot merge FlowCensus with different bins")
         self.flows += other.flows
         self.flagged += other.flagged
         for port, (total, hits) in other.by_port.items():
@@ -683,26 +682,6 @@ class FlowCensus(Analyzer):
             "entropy_hist": list(self.entropy_hist),
         }
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "flows": self.flows,
-            "flagged": self.flagged,
-            "by_port": {port: list(tally)
-                        for port, tally in sorted(self.by_port.items())},
-            "by_stage": dict(sorted(self.by_stage.items())),
-            "entropy_hist": list(self.entropy_hist),
-        }
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.flows = int(state.get("flows", 0))
-        self.flagged = int(state.get("flagged", 0))
-        self.by_port = {str(k): [int(v[0]), int(v[1])]
-                        for k, v in (state.get("by_port") or {}).items()}
-        self.by_stage = {str(k): int(v)
-                         for k, v in (state.get("by_stage") or {}).items()}
-        self.entropy_hist = [int(n) for n in
-                             state.get("entropy_hist") or [0] * self.bins]
-
 
 # --------------------------------------------------------- capture analyzers
 
@@ -712,6 +691,7 @@ class SynCount(Analyzer):
     """Received-SYN counter for one tapped host capture."""
 
     kind = "syn_count"
+    state_fields = ("count",)
 
     def __init__(self) -> None:
         self.count = 0
@@ -730,12 +710,6 @@ class SynCount(Analyzer):
     def finalize(self) -> Dict[str, Any]:
         return {"count": self.count}
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"count": self.count}
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.count = int(state.get("count", 0))
-
 
 @register_analyzer
 class ProbeSynTimes(Analyzer):
@@ -748,6 +722,7 @@ class ProbeSynTimes(Analyzer):
     """
 
     kind = "probe_syn_times"
+    state_fields = ("times",)
 
     def __init__(self, client_ip: str = "", duration: float = 0.0,
                  windows: Sequence[Sequence[float]] = ()) -> None:
@@ -756,10 +731,6 @@ class ProbeSynTimes(Analyzer):
         self.windows: List[List[float]] = [[float(s), float(e)]
                                            for s, e in windows]
         self.times: List[float] = []
-
-    def config(self) -> Dict[str, Any]:
-        return {"client_ip": self.client_ip, "duration": self.duration,
-                "windows": [list(w) for w in self.windows]}
 
     def observe(self, event: Mapping[str, Any]) -> None:
         if event.get("kind") != "capture" or event["sent"]:
@@ -801,12 +772,6 @@ class ProbeSynTimes(Analyzer):
                               if inactive_seconds else 0.0),
         }
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"times": list(self.times)}
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.times = list(state.get("times") or [])
-
 
 @register_analyzer
 class CaptureProbeClassifier(Analyzer):
@@ -834,10 +799,6 @@ class CaptureProbeClassifier(Analyzer):
         self.syn_meta: Dict[Tuple[str, int],
                             Tuple[float, Optional[int], Optional[int]]] = {}
         self.first_payload: Dict[Tuple[str, int], Tuple[float, bytes]] = {}
-
-    def config(self) -> Dict[str, Any]:
-        return {"server_port": self.server_port,
-                "client_ips": sorted(self.client_ips)}
 
     def observe(self, event: Mapping[str, Any]) -> None:
         if event.get("kind") != "capture" or event["sent"]:
@@ -934,6 +895,8 @@ class RandomDataStats(Analyzer):
     """
 
     kind = "random_data"
+    state_fields = ("connections", "trigger_lengths", "replay_lengths",
+                    "legit_bins", "replay_bins", "entropy_of")
 
     def __init__(self, bins: int = 8) -> None:
         self.bins = int(bins)
@@ -943,9 +906,6 @@ class RandomDataStats(Analyzer):
         self.legit_bins = [0] * self.bins
         self.replay_bins = [0] * self.bins
         self.entropy_of: Dict[str, float] = {}
-
-    def config(self) -> Dict[str, Any]:
-        return {"bins": self.bins}
 
     def _bin(self, entropy: float) -> int:
         return min(self.bins - 1, int(entropy / 8.0 * self.bins))
@@ -976,8 +936,6 @@ class RandomDataStats(Analyzer):
     def merge(self, other: Analyzer) -> None:
         self._check_mergeable(other)
         assert isinstance(other, RandomDataStats)
-        if other.bins != self.bins:
-            raise ValueError("cannot merge RandomDataStats with different bins")
         self.connections += other.connections
         self.trigger_lengths.extend(other.trigger_lengths)
         self.replay_lengths.extend(other.replay_lengths)
@@ -1002,24 +960,6 @@ class RandomDataStats(Analyzer):
             "ratio_by_entropy": ratio,
         }
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "connections": self.connections,
-            "trigger_lengths": list(self.trigger_lengths),
-            "replay_lengths": list(self.replay_lengths),
-            "legit_bins": list(self.legit_bins),
-            "replay_bins": list(self.replay_bins),
-            "entropy_of": dict(self.entropy_of),
-        }
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.connections = int(state.get("connections", 0))
-        self.trigger_lengths = list(state.get("trigger_lengths") or [])
-        self.replay_lengths = list(state.get("replay_lengths") or [])
-        self.legit_bins = list(state.get("legit_bins") or [0] * self.bins)
-        self.replay_bins = list(state.get("replay_bins") or [0] * self.bins)
-        self.entropy_of = dict(state.get("entropy_of") or {})
-
 
 # ------------------------------------------------------ statistics analyzers
 
@@ -1029,6 +969,7 @@ class EcdfAnalyzer(Analyzer):
     """ECDF quantiles of one numeric field of one event kind."""
 
     kind = "ecdf"
+    state_fields = ("values",)
 
     DEFAULT_QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99)
 
@@ -1038,10 +979,6 @@ class EcdfAnalyzer(Analyzer):
         self.field = field
         self.quantiles = [float(q) for q in quantiles]
         self.values: List[float] = []
-
-    def config(self) -> Dict[str, Any]:
-        return {"event": self.event, "field": self.field,
-                "quantiles": list(self.quantiles)}
 
     def observe(self, event: Mapping[str, Any]) -> None:
         if event.get("kind") != self.event:
@@ -1066,12 +1003,6 @@ class EcdfAnalyzer(Analyzer):
             "quantiles": {f"{q:g}": ecdf.quantile(q) for q in self.quantiles},
         }
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"values": list(self.values)}
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.values = list(state.get("values") or [])
-
 
 @register_analyzer
 class OverlapAnalyzer(Analyzer):
@@ -1084,6 +1015,7 @@ class OverlapAnalyzer(Analyzer):
     """
 
     kind = "overlap"
+    state_fields = ("ips",)
 
     def __init__(self, synthesize: bool = False, seed: int = 0,
                  regions: Optional[Mapping[str, int]] = None) -> None:
@@ -1092,10 +1024,6 @@ class OverlapAnalyzer(Analyzer):
         self.regions = dict(regions) if regions else None
         self.ips: List[str] = []
         self._seen: Set[str] = set()
-
-    def config(self) -> Dict[str, Any]:
-        return {"synthesize": self.synthesize, "seed": self.seed,
-                "regions": self.regions}
 
     def observe(self, event: Mapping[str, Any]) -> None:
         if event.get("kind") != "probe":
@@ -1124,11 +1052,8 @@ class OverlapAnalyzer(Analyzer):
                 out["venn"] = venn3(set(self.ips), dunna, ensafi)
         return out
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"ips": list(self.ips)}
-
     def load_state(self, state: Mapping[str, Any]) -> None:
-        self.ips = list(state.get("ips") or [])
+        super().load_state(state)
         self._seen = set(self.ips)
 
 
@@ -1137,14 +1062,12 @@ class ProberFingerprint(Analyzer):
     """§3.4 fingerprints from the probe stream: TSval processes and ports."""
 
     kind = "fingerprint"
+    state_fields = ("points", "ports")
 
     def __init__(self, rates: Sequence[float] = (250.0, 1000.0, 1009.0)) -> None:
         self.rates = [float(r) for r in rates]
         self.points: List[List[float]] = []   # [time, tsval]
         self.ports: List[int] = []
-
-    def config(self) -> Dict[str, Any]:
-        return {"rates": list(self.rates)}
 
     def observe(self, event: Mapping[str, Any]) -> None:
         if event.get("kind") != "probe":
@@ -1167,11 +1090,3 @@ class ProberFingerprint(Analyzer):
                          for c in clusters],
             "ports": port_statistics(self.ports) if self.ports else None,
         }
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {"points": [list(p) for p in self.points],
-                "ports": list(self.ports)}
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        self.points = [list(p) for p in state.get("points") or []]
-        self.ports = list(state.get("ports") or [])

@@ -33,12 +33,6 @@ class CipherSpec:
         """Alias for :attr:`iv_len` when talking about AEAD methods."""
         return self.iv_len
 
-    @property
-    def tag_len(self) -> int:
-        if self.kind != CipherKind.AEAD:
-            raise ValueError(f"{self.name} is not an AEAD method")
-        return 16
-
 
 _ALL_SPECS: List[CipherSpec] = [
     # Stream construction (deprecated).  IV lengths 8 / 12 / 16 — the three

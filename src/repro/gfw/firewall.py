@@ -50,8 +50,6 @@ DetectorsSpec = Union[str, Mapping[str, Any], DetectorStage]
 class GreatFirewall(Middlebox):
     """On-path censor: sensor → detector → reaction."""
 
-    EVICTION_SWEEP_INTERVAL = FlowTable.EVICTION_SWEEP_INTERVAL
-
     def __init__(
         self,
         sim,
@@ -120,17 +118,12 @@ class GreatFirewall(Middlebox):
             flag_hook=lambda flow, payload: self.on_flag(flow, payload),
         )
 
-        # Fused per-segment blocking probe: ReactionPolicy's drop check is
-        # two delegating frames around two dict-membership tests, so alias
-        # the blocking module's tables directly (they are stable dict
-        # attributes, mutated in place and never rebound).  A custom
-        # reaction policy without a ``blocking`` module falls back to the
-        # ``should_drop`` method call.
-        blocking = getattr(self.reactions, "blocking", None)
-        self._blocked_ips = getattr(blocking, "_blocked_ips", None)
-        self._blocked_ports = getattr(blocking, "_blocked_ports", None)
-        if self._blocked_ips is None or self._blocked_ports is None:
-            self._blocked_ips = self._blocked_ports = None
+        # Fused per-segment blocking probe: alias the blocking module's
+        # tables (stable dict attributes, mutated in place and never
+        # rebound), so the drop check is two dict-membership tests rather
+        # than two delegating calls.
+        self._blocked_ips = self.reactions.blocking._blocked_ips
+        self._blocked_ports = self.reactions.blocking._blocked_ports
 
         # (src_ip, dst_ip) -> "does the sensor care" (border-crossing and
         # not fleet traffic).  Fleet IPs can grow (minting), so entries
@@ -170,25 +163,6 @@ class GreatFirewall(Middlebox):
                 self.sim.bus.incr("gfw.cache.inside_cleared")
             self._inside_cache[ip] = cached
         return cached
-
-    def crosses_border(self, seg: Segment) -> bool:
-        # Inlined cache probes: this predicate runs per segment (or per
-        # burst), and after warm-up virtually every address is cached.
-        cache = self._inside_cache
-        src = cache.get(seg.src_ip)
-        if src is None:
-            src = self.is_inside(seg.src_ip)
-        dst = cache.get(seg.dst_ip)
-        if dst is None:
-            dst = self.is_inside(seg.dst_ip)
-        return src != dst
-
-    def _is_fleet_traffic(self, seg: Segment) -> bool:
-        fleet_ips = self.fleet_host.extra_ips
-        return (
-            seg.src_ip == FLEET_HOST_IP or seg.dst_ip == FLEET_HOST_IP
-            or seg.src_ip in fleet_ips or seg.dst_ip in fleet_ips
-        )
 
     def _conn_key(self, seg: Segment):
         """Memoized :meth:`Segment.conn_key` keyed on the directional flow."""
@@ -235,13 +209,8 @@ class GreatFirewall(Middlebox):
     def process(self, seg: Segment, network: Network) -> List[Segment]:
         # Inlined blocking probe (see __init__): two dict membership
         # tests in place of two delegating calls per segment.
-        bips = self._blocked_ips
-        if bips is None:
-            dropped = self.reactions.should_drop(seg)
-        else:
-            dropped = (seg.src_ip in bips
-                       or (seg.src_ip, seg.src_port) in self._blocked_ports)
-        if dropped:
+        if (seg.src_ip in self._blocked_ips
+                or (seg.src_ip, seg.src_port) in self._blocked_ports):
             self.dropped_segments += 1
             self.sim.bus.incr("gfw.segment.dropped")
             return []
@@ -270,7 +239,7 @@ class GreatFirewall(Middlebox):
         All segments in a burst share one directional flow, so the
         border predicate, the fleet check, and the connection key are
         hoisted out of the loop.  Everything order-sensitive stays
-        per-segment and in order: ``should_drop`` is re-checked before
+        per-segment and in order: the blocking probe is re-checked before
         every segment (an earlier segment's verdict may have installed a
         blocking rule that must catch the rest of the burst) and
         ``track`` side effects (sweeps, callbacks, verdicts) interleave
@@ -280,14 +249,11 @@ class GreatFirewall(Middlebox):
         interesting = self._interesting(first.src_ip, first.dst_ip)
         bips = self._blocked_ips
         bports = self._blocked_ports
-        should_drop = self.reactions.should_drop if bips is None else None
         bus = self.sim.bus
         forwarded: List[Segment] = []
         if not interesting:
             for seg in segs:
-                if (should_drop(seg) if should_drop is not None
-                        else (seg.src_ip in bips
-                              or (seg.src_ip, seg.src_port) in bports)):
+                if seg.src_ip in bips or (seg.src_ip, seg.src_port) in bports:
                     self.dropped_segments += 1
                     bus.incr("gfw.segment.dropped")
                 else:
@@ -300,9 +266,7 @@ class GreatFirewall(Middlebox):
         record = capture.record if capture.enabled else None
         now = self.sim.now
         for seg in segs:
-            if (should_drop(seg) if should_drop is not None
-                    else (seg.src_ip in bips
-                          or (seg.src_ip, seg.src_port) in bports)):
+            if seg.src_ip in bips or (seg.src_ip, seg.src_port) in bports:
                 self.dropped_segments += 1
                 bus.incr("gfw.segment.dropped")
                 continue
@@ -374,27 +338,3 @@ class GreatFirewall(Middlebox):
     @property
     def inspected_connections(self) -> int:
         return self.flow_table.opened
-
-    @property
-    def evicted_flows(self) -> int:
-        return self.flow_table.evicted
-
-    @property
-    def flow_idle_timeout(self) -> Optional[float]:
-        return self.flow_table.idle_timeout
-
-    @property
-    def max_flows(self) -> int:
-        return self.flow_table.max_flows
-
-    @property
-    def flag_dedup_window(self) -> float:
-        return self.flow_table.flag_dedup_window
-
-    @property
-    def _track_calls(self) -> int:
-        return self.flow_table._track_calls
-
-    @_track_calls.setter
-    def _track_calls(self, value: int) -> None:
-        self.flow_table._track_calls = value

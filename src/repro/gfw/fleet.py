@@ -71,7 +71,6 @@ class ProberFleet:
         self.asdb = asdb or ASDatabase()
         self._pool: List[str] = []            # pool of minted prober IPs
         self._use_counts: Dict[str, int] = {}
-        self._hops: Dict[str, int] = {}
         self.processes = self._spawn_processes()
 
     def _spawn_processes(self) -> List[TsvalProcess]:
@@ -119,12 +118,8 @@ class ProberFleet:
         hops = self.config.initial_ttl - self.rng.randint(
             self.config.ttl_low, self.config.ttl_high
         )
-        self._hops[ip] = hops
         self.host.network.set_hops(ip, "*", hops)
         return ip
-
-    def hops_for(self, ip: str) -> int:
-        return self._hops[ip]
 
     def pick_port(self) -> int:
         if self.rng.random() < self.config.linux_port_share:

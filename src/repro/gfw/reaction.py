@@ -116,11 +116,6 @@ class ReactionPolicy:
         behavior = self.scheduler.behavior_for(state.protocol)
         behavior.consider_blocking(state, record, self.blocking)
 
-    # ------------------------------------------------------------- blocking
-
-    def should_drop(self, seg) -> bool:
-        return self.blocking.should_drop(seg)
-
     # ------------------------------------------------------------- builders
 
     @classmethod

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional
 
-from .packet import Flags, Segment
+from .packet import Segment
 
 __all__ = ["CaptureRecord", "Capture"]
 
@@ -130,13 +130,3 @@ class Capture:
             if seg.src_ip == src_ip and (src_port is None or seg.src_port == src_port):
                 return seg.payload
         return None
-
-    def flags_timeline(self, conn_key) -> List[str]:
-        """Human-readable flag sequence for one connection (debug aid)."""
-        out = []
-        for rec in self.records:
-            if rec.segment.conn_key() == conn_key:
-                arrow = ">" if rec.sent else "<"
-                out.append(f"{rec.time:.3f}{arrow}{Flags.render(rec.segment.flags)}"
-                           f"({len(rec.segment.payload)})")
-        return out

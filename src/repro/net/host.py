@@ -327,7 +327,3 @@ class Host:
     def forget(self, conn: TcpConnection) -> None:
         key = (conn.local_ip, conn.local_port, conn.remote_ip, conn.remote_port)
         self._connections.pop(key, None)
-
-    @property
-    def active_connections(self) -> int:
-        return len(self._connections)

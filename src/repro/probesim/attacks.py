@@ -49,12 +49,6 @@ class AtypScanResult:
                   if r == ReactionKind.RST)
         return rst / total if total else 0.0
 
-    @property
-    def distinct_count(self) -> int:
-        """Deltas that did NOT draw the common (RST) reaction."""
-        return sum(1 for r in self.reactions_by_delta.values()
-                   if r != ReactionKind.RST)
-
     def infers_mask(self) -> Optional[bool]:
         """~13/16 RST means masked; ~253/256 means unmasked."""
         if not self.reactions_by_delta:

@@ -66,9 +66,6 @@ class ReactionRow:
             self.cells[length] = ReactionCell(length)
         return self.cells[length]
 
-    def dominant_by_length(self) -> Dict[int, str]:
-        return {length: cell.dominant for length, cell in sorted(self.cells.items())}
-
     def first_length_with(self, reaction: str, min_fraction: float = 0.5) -> Optional[int]:
         for length in sorted(self.cells):
             if self.cells[length].fraction(reaction) >= min_fraction:

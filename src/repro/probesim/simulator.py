@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..gfw.probes import Probe, ProbeForge, ProbeType
+from ..gfw.probes import NR1_LENGTHS, Probe, ProbeForge, ProbeType
 from ..net import Host, Network, Simulator
 from ..shadowsocks import ShadowsocksClient, ShadowsocksServer
 from .reactions import ReactionKind, classify_reaction
@@ -146,17 +146,8 @@ class ProberSimulator:
 
     def send_random_probe(self, length: int) -> ProbeResult:
         payload = self.forge.random_payload(length)
-        return self.send_probe(Probe(ProbeType.NR1 if length in
-                                     (7, 8, 9, 11, 12, 13, 15, 16, 17, 21, 22, 23,
-                                      32, 33, 34, 40, 41, 42, 48, 49, 50)
+        return self.send_probe(Probe(ProbeType.NR1 if length in NR1_LENGTHS
                                      else ProbeType.NR2, payload))
-
-    def random_probe_sweep(self, lengths, trials: int = 1) -> Dict[int, List[ProbeResult]]:
-        """Random probes of each length, ``trials`` independent times."""
-        results: Dict[int, List[ProbeResult]] = {}
-        for length in lengths:
-            results[length] = [self.send_random_probe(length) for _ in range(trials)]
-        return results
 
     def replay_battery(self, payload: bytes,
                        types=(ProbeType.R1, ProbeType.R2, ProbeType.R3,

@@ -25,7 +25,7 @@ byte-identical to direct construction on every builtin scenario.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Union
 
 __all__ = [
     "ProxyProtocol",
@@ -68,20 +68,6 @@ class ProxyProtocol:
                     rng: Any = None, **kwargs: Any) -> Any:
         """Attach this protocol's client to ``host``, aimed at a server."""
         raise NotImplementedError
-
-    # ------------------------------------------------------- session layer
-
-    def open_session(self, client: Any, target_host: str, target_port: int,
-                     payload: bytes = b"",
-                     on_reply: Optional[Callable[[bytes], None]] = None) -> Any:
-        """Open one proxied connection through ``client``.
-
-        Every builtin client already exposes this exact signature as
-        ``open`` (the contract :class:`~repro.workloads.CurlDriver`
-        drives); the hook exists so protocols with a different session
-        API can adapt without touching workload drivers.
-        """
-        return client.open(target_host, target_port, payload, on_reply)
 
     def describe(self) -> str:
         """One-line human-readable summary (CLI listings)."""

@@ -388,7 +388,7 @@ def _merge_flows(ordered: Sequence[RunResult], sharder: Sharder,
     payload is re-derived from the merged analyzer outputs with the
     same function the serial summarizer uses.
     """
-    from ..analysis.pipeline import restore_analyzer
+    from ..analysis.pipeline import merge_sections
 
     counters: Dict[str, int] = {}
     for result in ordered:
@@ -402,26 +402,16 @@ def _merge_flows(ordered: Sequence[RunResult], sharder: Sharder,
             counters[name] = counters.get(name, 0) + int(n)
     events = {"counters": dict(sorted(counters.items())), "scalars": {}}
 
-    analysis: Dict[str, Any] = {}
-    for name in ordered[0].analysis:
-        analyzer = restore_analyzer(ordered[0].analysis[name])
-        for later in ordered[1:]:
-            spec = later.analysis.get(name)
-            if spec is None:
-                raise ShardingError(f"shard missing analysis section {name!r}")
-            analyzer.merge(restore_analyzer(spec))
-        analysis[name] = {
-            "analyzer": analyzer.kind,
-            "config": analyzer.config(),
-            "state": analyzer.state_dict(),
-            "output": analyzer.finalize(),
-        }
+    sections = [result.analysis for result in ordered]
+    for name in sections[0]:
+        if any(later.get(name) is None for later in sections[1:]):
+            raise ShardingError(f"shard missing analysis section {name!r}")
+    merged = merge_sections(sections)
     if sharder.payload_from_analysis is None:
         raise ShardingError(
             "flows-mode sharder declares no payload_from_analysis")
-    payload = sharder.payload_from_analysis(
-        {name: spec["output"] for name, spec in analysis.items()})
-    return payload, events, analysis
+    payload = sharder.payload_from_analysis(merged.outputs())
+    return payload, events, merged.payload()
 
 
 def _merge_shards(scenario: Scenario, sharder: Sharder, plan: _ShardPlan,

@@ -37,6 +37,7 @@ from ..experiments import (
     run_sink_experiment,
 )
 from ..gfw import BlockingPolicy, DetectorConfig, PassiveDetector, Reaction
+from ..gfw.stages import training_corpus
 from ..net import Impairment
 from ..probesim import PROBE_LENGTH_SCHEDULE, build_random_probe_row, build_replay_table
 from ..protocols import build_protocol
@@ -606,26 +607,8 @@ _DETECTOR_VARIANTS: Tuple[Tuple[str, Dict[str, bool]], ...] = (
 
 
 def _build_detector_features(config: DetectorFeaturesConfig) -> Dict[str, object]:
-    from ..shadowsocks import encode_target
-    from ..shadowsocks.aead_session import AeadEncryptor, aead_master_key
-    from ..workloads import SITES, http_get_request, site_request, tls_client_hello
-
-    rng = random.Random(config.seed)
-    master = aead_master_key("pw", config.method)
-    ss_packets = []
-    for _ in range(config.samples):
-        site = rng.choice(SITES)
-        payload = encode_target(site, 443) + site_request(site, rng)
-        enc = AeadEncryptor(config.method, master, rng=rng)
-        ss_packets.append(enc.encrypt(payload))
-    plain_packets = []
-    for _ in range(config.samples):
-        site = rng.choice(SITES)
-        if rng.random() < 0.5:
-            plain_packets.append(http_get_request(site, rng))
-        else:
-            plain_packets.append(tls_client_hello(site, rng))
-
+    ss_packets, plain_packets = training_corpus(
+        seed=config.seed, samples=config.samples, method=config.method)
     rows = {}
     for label, toggles in _DETECTOR_VARIANTS:
         detector = PassiveDetector(DetectorConfig(base_rate=1.0, **toggles))

@@ -90,11 +90,6 @@ class ClientSession:
         self.conn.on_remote_fin = self._on_fin
         self.conn.on_reset = self._on_reset
 
-    @property
-    def first_nonce(self) -> bytes:
-        """The IV (stream) or salt (AEAD) of the client->server direction."""
-        return getattr(self._encryptor, "iv", None) or self._encryptor.salt
-
     def _send_handshake(self, payload: bytes) -> None:
         spec = encode_target(*self.target)
         if self.client.merge_header and payload:

@@ -10,6 +10,7 @@ from repro.analysis.pipeline import (
     EcdfAnalyzer,
     FlaggedConnections,
     OverlapAnalyzer,
+    ProbeSynTimes,
     ProbeTally,
     ProberFingerprint,
     RandomDataStats,
@@ -20,6 +21,7 @@ from repro.analysis.pipeline import (
     restore_analyzer,
     series,
 )
+from repro.net import Flags, Segment
 from repro.runtime.events import EventBus
 
 
@@ -40,6 +42,66 @@ def probe_event(i, probe_type="replay", delay=None):
     if delay is not None:
         event["delay"] = delay
     return event
+
+
+SERVER_IP = "203.0.113.5"
+CLIENT_IP = "192.0.2.1"
+
+
+def capture_event(time, segment):
+    return {"kind": "capture", "host": "server", "time": time,
+            "sent": False, "segment": segment}
+
+
+def mixed_events(n):
+    """Every event kind some analyzer reads, interleaved in time order."""
+    events = []
+    for i in range(n):
+        t = 300.0 * i
+        legit = bytes([i % 7]) * 30 + bytes(range(i % 11, 40))
+        prober = f"175.42.{i % 3}.{i % 5}"   # inside a prober AS prefix
+        events += [
+            {"kind": "payload", "time": t, "payload": legit},
+            probe_event(i, probe_type=("replay" if i % 3 else "rand"),
+                        delay=float(i)),
+            {"kind": "flow.flagged", "time": t, "initiator_ip": CLIENT_IP,
+             "initiator_port": 40000 + i, "responder_ip": f"203.0.113.{i % 4}",
+             "responder_port": 8388, "length": len(legit)},
+            {"kind": "verdict", "time": t, "responder_ip": f"203.0.113.{i % 3}",
+             "responder_port": 8388, "score": i / n,
+             "stage": "entropy" if i % 2 else "length"},
+            {"kind": "scale.flow", "port": 443 + i % 2, "flagged": i % 3 == 0,
+             "stage": "entropy", "entropy": (i % 8) + 0.5},
+            capture_event(t, Segment(CLIENT_IP, SERVER_IP, 40000 + i, 8388,
+                                     Flags.PSH | Flags.ACK, payload=legit)),
+            capture_event(t + 1.0, Segment(prober, SERVER_IP, 30000 + i, 8388,
+                                           Flags.SYN, tsval=250 * i,
+                                           ttl=40 + i % 9)),
+            capture_event(t + 2.0, Segment(
+                prober, SERVER_IP, 30000 + i, 8388, Flags.PSH | Flags.ACK,
+                payload=legit if i % 2 else bytes(221))),
+        ]
+        if i % 4 == 3:
+            events.append({"kind": "block", "time": t + 3.0,
+                           "ip": f"203.0.113.{i % 4}", "port": 8388,
+                           "unblock_time": t + 3600.0})
+    return events
+
+
+# Non-default configs, so a config that fails to round-trip shows.
+ROUND_TRIP_CONFIGS = {
+    "capture_probes": {"server_port": 8388, "client_ips": [CLIENT_IP]},
+    "ecdf": {"event": "probe", "field": "delay", "quantiles": [0.5, 0.9]},
+    "fingerprint": {"rates": [250.0, 1000.0]},
+    "flow_census": {"bins": 4},
+    "overlap": {"synthesize": True, "seed": 3,
+                "regions": {"ss_only": 1, "d_only": 2, "e_only": 2, "ss_d": 1,
+                            "ss_e": 1, "d_e": 1, "ss_d_e": 1}},
+    "probe_syn_times": {"client_ip": CLIENT_IP, "duration": 7200.0,
+                        "windows": [[0.0, 3600.0]]},
+    "random_data": {"bins": 4},
+    "verdict_records": {"per_server_cap": 2},
+}
 
 
 # ---------------------------------------------------------------- registry
@@ -78,16 +140,27 @@ def test_series_empty_and_parity():
 
 
 def test_state_round_trips_through_json():
-    events = [probe_event(i, delay=float(i)) for i in range(20)]
-    for kind in ("probe_tally", "replay_delays", "random_data",
-                 "ecdf", "overlap", "fingerprint"):
-        one = build_analyzer(kind)
-        for event in events:
+    events = mixed_events(24)
+    half = len(events) // 2
+    assert set(ROUND_TRIP_CONFIGS) <= set(analyzer_kinds())
+    for kind in analyzer_kinds():
+        config = ROUND_TRIP_CONFIGS.get(kind)
+        one, rest = build_analyzer(kind, config), build_analyzer(kind, config)
+        for event in events[:half]:
             one.observe(event)
-        spec = {"analyzer": one.kind, "config": one.config(),
-                "state": one.state_dict()}
-        restored = restore_analyzer(json.loads(json.dumps(spec)))
-        assert restored.finalize() == one.finalize()
+        for event in events[half:]:
+            rest.observe(event)
+        spec = json.loads(json.dumps({"analyzer": one.kind,
+                                      "config": one.config(),
+                                      "state": one.state_dict()}))
+        frozen = json.dumps(spec, sort_keys=True)
+        restored = restore_analyzer(spec)
+        assert restored.config() == one.config(), kind
+        assert restored.state_dict() == one.state_dict(), kind
+        restored.merge(rest)
+        one.merge(rest)
+        assert restored.finalize() == one.finalize(), kind
+        assert json.dumps(spec, sort_keys=True) == frozen, kind
 
 
 def test_split_observe_then_merge_equals_single_pass():
@@ -115,6 +188,10 @@ def test_merge_rejects_kind_mismatch():
 def test_merge_rejects_config_mismatch():
     with pytest.raises(ValueError, match="bins"):
         RandomDataStats(bins=4).merge(RandomDataStats(bins=8))
+    with pytest.raises(ValueError, match="quantiles"):
+        EcdfAnalyzer(quantiles=(0.5,)).merge(EcdfAnalyzer())
+    with pytest.raises(ValueError, match="windows"):
+        ProbeSynTimes(windows=[(0.0, 3600.0)]).merge(ProbeSynTimes())
 
 
 def test_ecdf_analyzer_quantiles():

@@ -38,9 +38,9 @@ def test_crosses_border():
                      dst_port=2, flags=Flags.SYN)
     outside = Segment(src_ip="198.51.100.1", dst_ip="198.51.100.2", src_port=1,
                       dst_port=2, flags=Flags.SYN)
-    assert gfw.crosses_border(cross)
-    assert not gfw.crosses_border(inside)
-    assert not gfw.crosses_border(outside)
+    assert gfw._interesting(cross.src_ip, cross.dst_ip)
+    assert not gfw._interesting(inside.src_ip, inside.dst_ip)
+    assert not gfw._interesting(outside.src_ip, outside.dst_ip)
 
 
 def test_domestic_traffic_not_inspected():
@@ -166,23 +166,23 @@ def test_idle_flows_evicted_after_timeout():
     # A half-open flow (no FIN/RST ever) goes idle; the amortized sweep
     # reclaims it on a later tracked segment.
     sim.now = 1000.0
-    gfw._track_calls = gfw.EVICTION_SWEEP_INTERVAL - 1
+    gfw.flow_table._track_calls = gfw.flow_table.EVICTION_SWEEP_INTERVAL - 1
     gfw.process(_seg(5001, Flags.SYN, src="192.0.2.2"), net)
     assert len(gfw.flows) == 1  # only the fresh flow remains
     assert _seg(5001, Flags.SYN, src="192.0.2.2").conn_key() in gfw.flows
-    assert gfw.evicted_flows == 1
+    assert gfw.flow_table.evicted == 1
     assert sim.bus.count("gfw.flow.evicted") == 1
 
 
 def test_no_eviction_without_timeout_by_default():
     sim, net, gfw = make_gfw()
-    assert gfw.flow_idle_timeout is None
+    assert gfw.flow_table.idle_timeout is None
     gfw.process(_seg(5000, Flags.SYN), net)
     sim.now = 10 * 86400.0
-    gfw._track_calls = gfw.EVICTION_SWEEP_INTERVAL - 1
+    gfw.flow_table._track_calls = gfw.flow_table.EVICTION_SWEEP_INTERVAL - 1
     gfw.process(_seg(5001, Flags.SYN, src="192.0.2.2"), net)
     assert len(gfw.flows) == 2
-    assert gfw.evicted_flows == 0
+    assert gfw.flow_table.evicted == 0
 
 
 def test_flow_count_cap_evicts_oldest_quartile():
@@ -194,7 +194,7 @@ def test_flow_count_cap_evicts_oldest_quartile():
     sim.now = 99.0
     gfw.process(_seg(6000, Flags.SYN), net)
     assert len(gfw.flows) == 7  # 8 - 2 evicted + 1 new
-    assert gfw.evicted_flows == 2
+    assert gfw.flow_table.evicted == 2
     assert sim.bus.count("gfw.flow.evicted") == 2
     keys = set(gfw.flows)
     assert _seg(5000, Flags.SYN).conn_key() not in keys  # oldest gone
@@ -254,7 +254,7 @@ def test_reflag_allowed_after_dedup_window():
     gfw.process(_seg(5000, Flags.FIN | Flags.ACK), net)
     # Well past the dedup window this is a genuinely new connection on a
     # recycled ephemeral port.
-    sim.now = gfw.flag_dedup_window + 1.0
+    sim.now = gfw.flow_table.flag_dedup_window + 1.0
     gfw.process(_seg(5000, Flags.SYN), net)
     gfw.process(_seg(5000, Flags.PSH | Flags.ACK, payload=data), net)
     assert gfw.flagged_connections == 2
