@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint typecheck bench bench-smoke bench-perf clean
+.PHONY: test lint typecheck bench bench-smoke bench-perf bench-cold clean
 
 test:                ## tier-1 suite (unit + integration + property)
 	$(PYTHON) -m pytest tests/ -x -q
@@ -37,6 +37,12 @@ bench-smoke:
 bench-perf:
 	$(PYTHON) -m repro bench --quick --out-dir /tmp/bench-perf \
 	    --compare benchmarks/baselines/bench_quick.json --tolerance 0.1
+
+# Cold floors: a 5 s bench/run.py run of each workload must be correct,
+# with no failed operation, and read at least 0.1x its committed median
+# in benchmarks/baselines/bench_cold.json.
+bench-cold:
+	$(PYTHON) benchmarks/cold_floors.py
 
 clean:
 	rm -rf runs benchmarks/output .pytest_cache .hypothesis

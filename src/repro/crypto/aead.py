@@ -2,7 +2,9 @@
 
 Both expose ``seal(nonce, plaintext, aad)`` / ``open(nonce, sealed, aad)``
 with a trailing 16-byte tag, which is exactly the shape the Shadowsocks
-AEAD construction consumes.
+AEAD construction consumes, and ``seal_records(records, aad)``, which
+seals a list of ``(nonce, plaintext)`` records: the records of one
+Shadowsocks chunk.
 """
 
 from __future__ import annotations
@@ -11,15 +13,26 @@ import struct
 
 from . import recordcache
 from ._xor import xor_bytes
-from .chacha20 import _ietf_state, _keystream
+from .chacha20 import _ietf_tails, _key_words, _keystream, _nonce_words
 from .gcm import AESGCM, AuthenticationError, _eq
 from .poly1305 import _Poly1305
 
 __all__ = ["AESGCM", "ChaCha20Poly1305", "AuthenticationError", "new_aead"]
 
 
+def _record_tails(nonce_words: tuple, nbytes: int) -> list:
+    """Words 12-15 of one record's blocks: block 0 gives the Poly1305 key,
+    blocks 1.. the ``nbytes`` of keystream."""
+    return _ietf_tails(nonce_words, 0, (nbytes + 63) // 64 + 1)
+
+
 class ChaCha20Poly1305:
-    """ChaCha20-Poly1305 AEAD per RFC 8439."""
+    """ChaCha20-Poly1305 AEAD per RFC 8439.
+
+    Every seal goes through ``_seal_records``, which lays the blocks of
+    all its records out as the lanes of one ``_keystream`` call, each
+    lane with its own record's nonce.
+    """
 
     TAG_SIZE = 16
     NONCE_SIZE = 12
@@ -29,15 +42,6 @@ class ChaCha20Poly1305:
         if len(key) != self.KEY_SIZE:
             raise ValueError(f"key must be {self.KEY_SIZE} bytes, got {len(key)}")
         self._key = key
-
-    def _record_keystream(self, nonce: bytes, nbytes: int):
-        """The Poly1305 key (block 0) and ``nbytes`` of keystream (blocks 1..n).
-
-        One ``_keystream`` call computes both, for about the cost of a block.
-        """
-        nblocks = (nbytes + 63) // 64
-        ks = _keystream(_ietf_state(self._key, nonce), 0, nblocks + 1)
-        return ks[:32], ks[64 : 64 + nbytes]
 
     @staticmethod
     def _tag(poly_key: bytes, aad: bytes, ciphertext: bytes) -> bytes:
@@ -55,23 +59,46 @@ class ChaCha20Poly1305:
         return recordcache.cached_seal(self._seal, "c20p", self._key, nonce,
                                        plaintext, aad)
 
+    def seal_records(self, records: list[tuple[bytes, bytes]],
+                     aad: bytes = b"") -> list[bytes]:
+        """Seal each ``(nonce, plaintext)`` of ``records``, in order.
+
+        The record memo's misses are sealed by one keystream call.
+        """
+        return recordcache.cached_seal_records(self._seal_records, "c20p",
+                                               self._key, records, aad)
+
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         return recordcache.cached_open(self._open, "c20p", self._key, nonce,
                                        sealed, aad)
 
     def _seal(self, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
-        poly_key, ks = self._record_keystream(nonce, len(plaintext))
-        ciphertext = xor_bytes(plaintext, ks)
-        return ciphertext + self._tag(poly_key, aad, ciphertext)
+        return self._seal_records([(nonce, plaintext)], aad)[0]
+
+    def _seal_records(self, records: list[tuple[bytes, bytes]],
+                      aad: bytes) -> list[bytes]:
+        starts = []
+        tails = []
+        for nonce, plaintext in records:
+            starts.append(64 * len(tails))
+            tails += _record_tails(_nonce_words(nonce), len(plaintext))
+        ks = _keystream(_key_words(self._key), tails)
+        sealed = []
+        for start, (_, plaintext) in zip(starts, records):
+            ciphertext = xor_bytes(plaintext, ks[start + 64 : start + 64 + len(plaintext)])
+            sealed.append(ciphertext + self._tag(ks[start : start + 32], aad, ciphertext))
+        return sealed
 
     def _open(self, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
+        nonce_words = _nonce_words(nonce)
         if len(sealed) < self.TAG_SIZE:
             raise AuthenticationError("ciphertext shorter than tag")
         ciphertext, tag = sealed[: -self.TAG_SIZE], sealed[-self.TAG_SIZE :]
-        poly_key, ks = self._record_keystream(nonce, len(ciphertext))
-        if not _eq(tag, self._tag(poly_key, aad, ciphertext)):
+        n = len(ciphertext)
+        ks = _keystream(_key_words(self._key), _record_tails(nonce_words, n))
+        if not _eq(tag, self._tag(ks[:32], aad, ciphertext)):
             raise AuthenticationError("Poly1305 tag mismatch")
-        return xor_bytes(ciphertext, ks)
+        return xor_bytes(ciphertext, ks[64 : 64 + n])
 
 
 _AEADS = {

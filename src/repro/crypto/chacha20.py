@@ -11,11 +11,14 @@ batch in its own 64-bit lane (the 32-bit word over 32 guard bits).  An
 add's carry and a rotate's spill from the neighbouring lane land in the
 guard bits, and masking with the lane mask clears them, so the unrolled
 double round does the same 32-bit arithmetic for all lanes at once and
-the bytes are those of the per-block definition.  A big-int operation
-costs little more for eight lanes than for one, so an AEAD record's
-Poly1305 key block and its 1-7 keystream blocks cost about as much as
-one block.  This is ChaCha20's only path, for every batch size.  The
-incremental ciphers consume the keystream through a cursor and XOR
+the bytes are those of the per-block definition.  Words 0-11 (constants
+and key) are the same in every lane; words 12-15 (counter and nonce)
+are packed per lane, so the blocks of one batch may belong to different
+nonces.  A big-int operation costs little more for eight lanes than for
+one, so one call seals both records of a Shadowsocks chunk (each a
+Poly1305 key block and its keystream blocks) for a little more than the
+cost of one block.  This is ChaCha20's only path, for every batch size.
+The incremental ciphers consume the keystream through a cursor and XOR
 whole buffers at a time.
 """
 
@@ -37,24 +40,25 @@ def _lanes(words) -> int:
     return int.from_bytes(struct.pack(f"<{len(words)}Q", *words), "little")
 
 
-def _keystream(init, counter: int, nblocks: int, wide: bool = False) -> bytes:
-    """Keystream blocks ``counter`` .. ``counter + nblocks - 1``, concatenated.
+def _keystream(init, tails) -> bytes:
+    """One keystream block per entry of ``tails``, concatenated.
 
-    ``init`` is the 16-word initial state.  Block ``j`` puts
-    ``counter + j`` in word 12, modulo 2^32 (RFC 8439), or with
-    ``wide`` in words 12-13 as a 64-bit counter (the original DJB
-    variant).  The double round is fully unrolled over sixteen named
-    locals: list loads and stores and a quarter-round index walk would
-    cost more than the arithmetic.
+    ``init`` holds words 0-11 (constants and key), broadcast to every
+    lane.  Block ``j`` takes words 12-15 from the 4-tuple ``tails[j]``:
+    the block counter in word 12 and the 96-bit nonce in words 13-15
+    (RFC 8439), or a 64-bit counter in words 12-13 and a 64-bit nonce in
+    words 14-15 (the original DJB variant).  All four words are packed
+    per lane, so a batch may mix nonces, and a carry out of any word
+    (consecutive nonces 2^32-1 and 2^32) is the caller's to compute.
+    The double round is fully unrolled over sixteen named locals: list
+    loads and stores and a quarter-round index walk would cost more than
+    the arithmetic.
     """
+    nblocks = len(tails)
     one = int.from_bytes((b"\x01" + bytes(7)) * nblocks, "little")
     m = one * _M
-    i0, i1, i2, i3, i4, i5, i6, i7, i8, i9, iA, iB, iC, iD, iE, iF = [
-        w * one for w in init]
-    counters = range(counter, counter + nblocks)
-    iC = _lanes([c & _M for c in counters])
-    if wide:
-        iD = _lanes([(c >> 32) & _M for c in counters])
+    i0, i1, i2, i3, i4, i5, i6, i7, i8, i9, iA, iB = [w * one for w in init]
+    iC, iD, iE, iF = [_lanes(words) for words in zip(*tails)]
     x0, x1, x2, x3, x4, x5, x6, x7 = i0, i1, i2, i3, i4, i5, i6, i7
     x8, x9, xA, xB, xC, xD, xE, xF = i8, i9, iA, iB, iC, iD, iE, iF
     for _ in range(10):
@@ -111,14 +115,24 @@ def _keystream(init, counter: int, nblocks: int, wide: bool = False) -> bytes:
     return out.tobytes()
 
 
-def _ietf_state(key: bytes, nonce: bytes) -> list:
-    """The RFC 8439 initial state for ``key`` and ``nonce``, counter 0."""
+def _key_words(key: bytes) -> list:
+    """Words 0-11 of the state: the constants and ``key``."""
     if len(key) != 32:
         raise ValueError(f"ChaCha20 key must be 32 bytes, got {len(key)}")
+    return [*_CONSTANTS, *struct.unpack("<8L", key)]
+
+
+def _nonce_words(nonce: bytes) -> tuple:
+    """Words 13-15 of an RFC 8439 state: the 96-bit ``nonce``."""
     if len(nonce) != 12:
         raise ValueError(f"ChaCha20 nonce must be 12 bytes, got {len(nonce)}")
-    return [*_CONSTANTS, *struct.unpack("<8L", key), 0,
-            *struct.unpack("<3L", nonce)]
+    return struct.unpack("<3L", nonce)
+
+
+def _ietf_tails(nonce_words: tuple, counter: int, nblocks: int) -> list:
+    """Words 12-15 of RFC 8439 blocks ``counter`` onward; word 12 wraps mod 2^32."""
+    n0, n1, n2 = nonce_words
+    return [(c & _M, n0, n1, n2) for c in range(counter, counter + nblocks)]
 
 
 @lru_cache(maxsize=4096)
@@ -132,27 +146,29 @@ def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
     probe (``bench/layers.py``).  The function is pure, so the cache is
     unobservable; 4096 entries of 64 bytes bound it to ~¼ MB.
     """
-    return _keystream(_ietf_state(key, nonce), counter, 1)
+    return _keystream(_key_words(key), _ietf_tails(_nonce_words(nonce), counter, 1))
 
 
 class _KeystreamCipher:
     """Shared cursor machinery for the incremental ChaCha variants.
 
-    Subclasses pass the 16-word initial state and the first block
-    counter; ``_WIDE`` selects the 64-bit counter of the DJB variant.
-    ``process`` keeps unconsumed keystream in a ``bytearray`` drained
-    through a cursor (never re-sliced, so large streams stay linear)
-    and XORs whole buffers at a time.
+    Subclasses pass words 0-11 of the state and the first block counter,
+    and build each block's words 12-15 in ``_tails``.  ``process`` keeps
+    unconsumed keystream in a ``bytearray`` drained through a cursor
+    (never re-sliced, so large streams stay linear) and XORs whole
+    buffers at a time.
     """
 
     _BLOCK = 64
-    _WIDE = False
 
     def __init__(self, init: list, counter: int) -> None:
         self._init = init
         self._counter = counter
         self._ks = bytearray()
         self._pos = 0
+
+    def _tails(self, counter: int, nblocks: int) -> list:
+        raise NotImplementedError
 
     def process(self, data: bytes) -> bytes:
         n = len(data)
@@ -161,7 +177,7 @@ class _KeystreamCipher:
         if len(self._ks) - self._pos < n:
             need = n - (len(self._ks) - self._pos)
             nblocks = (need + self._BLOCK - 1) // self._BLOCK
-            fresh = _keystream(self._init, self._counter, nblocks, self._WIDE)
+            fresh = _keystream(self._init, self._tails(self._counter, nblocks))
             self._counter += nblocks
             if self._pos:
                 del self._ks[: self._pos]
@@ -184,4 +200,8 @@ class ChaCha20(_KeystreamCipher):
     """Incremental ChaCha20 keystream XOR, as used for a TCP byte stream."""
 
     def __init__(self, key: bytes, nonce: bytes, counter: int = 0):
-        super().__init__(_ietf_state(key, nonce), counter)
+        super().__init__(_key_words(key), counter)
+        self._nonce = _nonce_words(nonce)
+
+    def _tails(self, counter: int, nblocks: int) -> list:
+        return _ietf_tails(self._nonce, counter, nblocks)

@@ -170,6 +170,11 @@ class AESGCM:
         return recordcache.cached_seal(self._seal, "gcm", self._key, nonce,
                                        plaintext, aad)
 
+    def seal_records(self, records: list[tuple[bytes, bytes]],
+                     aad: bytes = b"") -> list[bytes]:
+        """Seal each ``(nonce, plaintext)`` of ``records``, in order."""
+        return [self.seal(nonce, plaintext, aad) for nonce, plaintext in records]
+
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify the trailing tag and decrypt; raise AuthenticationError."""
         return recordcache.cached_open(self._open, "gcm", self._key, nonce,

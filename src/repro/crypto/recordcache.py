@@ -14,7 +14,11 @@ byte-identical results:
 * an ``open`` hit skips tag verification only for blobs this process
   itself produced — a tampered or truncated record is a different byte
   string, misses the cache, and takes the real verification path with
-  its real ``AuthenticationError``.
+  its real ``AuthenticationError``;
+* ``cached_seal_records`` keeps those rules for a batch: it looks every
+  record up first, seals all the misses in one raw call (one keystream
+  pass for ChaCha20-Poly1305), and installs each miss's seal and open
+  entries, so every record behaves as its own ``cached_seal``.
 
 The memo is cleared wholesale when full (no LRU bookkeeping on the hot
 path), and records longer than ``MAX_RECORD`` bypass it — tunnel AEAD
@@ -27,7 +31,8 @@ reported primitive throughput always reflects real seal/open work.
 
 from __future__ import annotations
 
-__all__ = ["enabled", "set_enabled", "clear", "cached_seal", "cached_open"]
+__all__ = ["enabled", "set_enabled", "clear", "cached_seal", "cached_seal_records",
+           "cached_open"]
 
 MAX_ENTRIES = 4096
 # Shadowsocks AEAD chunks cap at 0x3FFF bytes; benchmark and other bulk
@@ -75,6 +80,36 @@ def cached_seal(raw_seal, alg, key, nonce, plaintext, aad):
         sealed = raw_seal(nonce, plaintext, aad)
         _put(entry, sealed)
         _put(("o", alg, key, nonce, aad, sealed), plaintext)
+    return sealed
+
+
+def cached_seal_records(raw_seal_records, alg, key, records, aad):
+    """Memoized batch seal of ``(nonce, plaintext)`` pairs, in order.
+
+    Every record is looked up first; ``raw_seal_records(misses, aad)``
+    then seals the misses in one call, and each one installs its seal
+    and open entries as in ``cached_seal``.  A record longer than
+    ``MAX_RECORD`` is sealed with the misses but never stored.
+    """
+    if not _enabled:
+        return raw_seal_records(records, aad) if records else []
+    sealed = []
+    misses = []
+    for i, (nonce, plaintext) in enumerate(records):
+        hit = None
+        if len(plaintext) <= MAX_RECORD:
+            hit = _cache.get(("s", alg, key, nonce, aad, plaintext))
+        if hit is None:
+            misses.append(i)
+        sealed.append(hit)
+    if misses:
+        fresh = raw_seal_records([records[i] for i in misses], aad)
+        for i, blob in zip(misses, fresh):
+            sealed[i] = blob
+            nonce, plaintext = records[i]
+            if len(plaintext) <= MAX_RECORD:
+                _put(("s", alg, key, nonce, aad, plaintext), blob)
+                _put(("o", alg, key, nonce, aad, blob), plaintext)
     return sealed
 
 

@@ -16,7 +16,7 @@ import hashlib
 import struct
 
 from ._xor import xor_bytes
-from .chacha20 import _CONSTANTS, ChaCha20, _KeystreamCipher
+from .chacha20 import _M, ChaCha20, _KeystreamCipher, _key_words
 from .modes import CFBMode, CTRMode
 
 __all__ = ["RC4", "ChaCha20DJB", "new_stream_cipher"]
@@ -62,18 +62,20 @@ class RC4:
 class ChaCha20DJB(_KeystreamCipher):
     """Incremental original-variant ChaCha20 (8-byte nonce).
 
-    The block counter is 64 bits wide and fills words 12-13.
+    The block counter is 64 bits wide and fills words 12-13; the nonce
+    fills words 14-15.
     """
 
-    _WIDE = True
-
     def __init__(self, key: bytes, nonce: bytes):
-        if len(key) != 32:
-            raise ValueError(f"ChaCha20 key must be 32 bytes, got {len(key)}")
+        super().__init__(_key_words(key), 0)
         if len(nonce) != 8:
             raise ValueError(f"DJB ChaCha20 nonce must be 8 bytes, got {len(nonce)}")
-        super().__init__([*_CONSTANTS, *struct.unpack("<8L", key), 0, 0,
-                          *struct.unpack("<2L", nonce)], 0)
+        self._nonce = struct.unpack("<2L", nonce)
+
+    def _tails(self, counter: int, nblocks: int) -> list:
+        n0, n1 = self._nonce
+        return [(c & _M, (c >> 32) & _M, n0, n1)
+                for c in range(counter, counter + nblocks)]
 
 
 def new_stream_cipher(name: str, key: bytes, iv: bytes, encrypt: bool):

@@ -64,16 +64,21 @@ class AeadEncryptor:
         self._salt_sent = False
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        """Seal plaintext into one or more length-prefixed chunks."""
-        out = bytearray()
-        if not self._salt_sent:
-            self._salt_sent = True
-            out.extend(self.salt)
+        """Seal plaintext into one or more length-prefixed chunks.
+
+        Every record of the call (each chunk's length, then its payload,
+        under consecutive nonces) goes to one ``seal_records`` call.
+        """
+        records = []
         for i in range(0, len(plaintext), MAX_CHUNK):
             chunk = plaintext[i : i + MAX_CHUNK]
-            out.extend(self._aead.seal(self._nonce.next(), len(chunk).to_bytes(2, "big")))
-            out.extend(self._aead.seal(self._nonce.next(), chunk))
-        return bytes(out)
+            records.append((self._nonce.next(), len(chunk).to_bytes(2, "big")))
+            records.append((self._nonce.next(), chunk))
+        sealed = b"".join(self._aead.seal_records(records))
+        if self._salt_sent:
+            return sealed
+        self._salt_sent = True
+        return self.salt + sealed
 
 
 class AeadDecryptor:

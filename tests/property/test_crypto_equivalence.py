@@ -8,9 +8,12 @@ and arbitrary chunked-vs-whole call patterns, through both the direct
 classes and the ``new_aead``/``new_stream_cipher`` factories.  Pinned
 examples add the sizes random draws never reach: lane and block edges,
 the largest AEAD chunk, ChaCha20 batches of 511 and 513 blocks, and one
-block either side of the AES sliced cut.
+block either side of the AES sliced cut.  Batched AEAD seals (one
+keystream call for several records) are compared record by record, and
+so is the Shadowsocks wire an ``AeadEncryptor`` writes.
 """
 
+import contextlib
 import hashlib
 import random
 import struct
@@ -31,12 +34,16 @@ from repro.crypto import (
     ChaCha20Poly1305,
     CipherKind,
     RC4,
+    derive_subkey,
+    get_spec,
     new_aead,
     new_stream_cipher,
     poly1305_mac,
 )
+from repro.crypto import recordcache
 from repro.crypto.aes import AES, SLICED_MIN_BLOCKS
 from repro.crypto.chacha20 import _keystream
+from repro.shadowsocks.aead_session import MAX_CHUNK, AeadEncryptor, aead_master_key
 
 from .. import crypto_reference as ref
 
@@ -176,12 +183,12 @@ def test_chacha20_ietf_counter_wraps_like_reference(nblocks):
 def test_chacha20_djb_counter_carries_into_word_13(nblocks):
     """The DJB variant's 64-bit counter carries from word 12 into 13."""
     key, nonce = bytes(range(32)), bytes(range(8))
-    init = [*ref._CONSTANTS, *struct.unpack("<8L", key), 0, 0,
-            *struct.unpack("<2L", nonce)]
+    init = [*ref._CONSTANTS, *struct.unpack("<8L", key)]
     counter = 2**32 - 2
     expected = b"".join(ref._chacha20_block_djb(key, counter + i, nonce)
                         for i in range(nblocks))
-    assert _keystream(init, counter, nblocks, wide=True) == expected
+    tails = ChaCha20DJB(key, nonce)._tails(counter, nblocks)
+    assert _keystream(init, tails) == expected
 
 
 @given(key=st.binary(min_size=1, max_size=64), data=messages, fractions=cuts)
@@ -225,6 +232,68 @@ def test_chacha20poly1305_matches_reference(key, nonce, plaintext, aad):
     assert sealed == slow.seal(nonce, plaintext, aad)
     assert fast.open(nonce, sealed, aad) == plaintext
     _check_real_open(fast, slow, nonce, sealed, aad, plaintext)
+
+
+@contextlib.contextmanager
+def _memo_off():
+    """Seal and open for real.  With the record memo on, ``open`` answers
+    from the entry its ``seal`` installed, whatever bytes that seal made."""
+    was = recordcache.enabled()
+    recordcache.set_enabled(False)
+    try:
+        yield
+    finally:
+        recordcache.set_enabled(was)
+
+
+# Runs of consecutive record nonces start at zero, or one below a carry
+# out of word 13 (2^32) or word 14 (2^64) of the ChaCha20 state.
+NONCE_STARTS = (0, 2**32 - 1, 2**64 - 1)
+record_sizes = st.integers(min_value=0, max_value=0x3FFF) | st.sampled_from(
+    (*_edge_sizes(extra_blocks=1), *AES_CUT_SIZES))
+
+
+@pytest.mark.parametrize("fast_cls, slow_cls", [
+    (ChaCha20Poly1305, ref.ReferenceChaCha20Poly1305),
+    (AESGCM, ref.ReferenceAESGCM),
+], ids=["chacha20-poly1305", "aes-gcm"])
+@given(key=keys256, start=st.sampled_from(NONCE_STARTS),
+       sizes=st.lists(record_sizes, min_size=1, max_size=6),
+       aad=st.binary(max_size=40))
+@settings(max_examples=15, deadline=None)
+def test_seal_records_matches_reference(fast_cls, slow_cls, key, start, sizes, aad):
+    records = [((start + i).to_bytes(12, "little"), _message(size))
+               for i, size in enumerate(sizes)]
+    fast, slow = fast_cls(key), slow_cls(key)
+    with _memo_off():
+        sealed = fast.seal_records(records, aad)
+        assert sealed == [slow.seal(nonce, pt, aad) for nonce, pt in records]
+        assert ([fast.open(nonce, blob, aad) for (nonce, _), blob in zip(records, sealed)]
+                == [pt for _, pt in records])
+
+
+@pytest.mark.parametrize("start", [0, 2**32 - 1])
+@pytest.mark.parametrize("size", [0, 1, 103, 0x3FFF, 0x3FFF + 100, 3 * 0x3FFF])
+@pytest.mark.parametrize("method", ["chacha20-ietf-poly1305", "aes-128-gcm"])
+def test_aead_encryptor_wire_matches_reference(method, size, start):
+    """One ``encrypt`` call: the salt once, then each chunk's sealed length
+    and sealed payload under consecutive nonces."""
+    master = aead_master_key("wire", method)
+    salt = bytes(range(get_spec(method).salt_len))
+    enc = AeadEncryptor(method, master, salt=salt)
+    enc._nonce._value = start
+    box = REFERENCE_FACTORIES[method](derive_subkey(master, salt))
+    plaintext = _message(size)
+    expected = bytearray(salt)
+    nonce = start
+    for i in range(0, size, MAX_CHUNK):
+        chunk = plaintext[i : i + MAX_CHUNK]
+        for record in (len(chunk).to_bytes(2, "big"), chunk):
+            expected += box.seal(nonce.to_bytes(12, "little"), record)
+            nonce += 1
+    with _memo_off():
+        assert enc.encrypt(plaintext) == expected
+        assert enc.encrypt(b"") == b""
 
 
 # Registry name -> reference constructor, taking what the factory takes.

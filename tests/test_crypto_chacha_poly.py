@@ -102,6 +102,8 @@ def test_aead_rejects_short_input():
     lambda: ChaCha20Poly1305(bytes(16)),
     lambda: ChaCha20Poly1305(bytes(32))._seal(bytes(8), b"x", b""),
     lambda: ChaCha20Poly1305(bytes(32))._open(bytes(8), bytes(17), b""),
+    lambda: ChaCha20Poly1305(bytes(32))._open(bytes(8), b"short", b""),
+    lambda: ChaCha20Poly1305(bytes(32)).seal_records([(bytes(12), b"x"), (bytes(8), b"y")]),
 ])
 def test_chacha_rejects_bad_key_and_nonce_lengths(build):
     with pytest.raises(ValueError):

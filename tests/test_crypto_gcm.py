@@ -76,7 +76,8 @@ def test_tamper_detection_every_position():
     lambda box, nonce: box._seal(nonce, b"x", b""),
     lambda box, nonce: box._open(nonce, bytes(17), b""),
     lambda box, nonce: box._open(nonce, b"short", b""),
-], ids=["seal", "open", "open-short-input"])
+    lambda box, nonce: box.seal_records([(bytes(12), b"x"), (nonce, b"y")]),
+], ids=["seal", "open", "open-short-input", "seal-records"])
 def test_gcm_rejects_bad_nonce_length(call, nonce_len):
     with pytest.raises(ValueError, match="nonce"):
         call(AESGCM(bytes(16)), bytes(nonce_len))

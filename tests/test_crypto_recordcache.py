@@ -74,6 +74,63 @@ def test_oversized_records_bypass_the_cache():
     assert aead.open(NONCE, sealed) == big
 
 
+# One Shadowsocks chunk's two records, then a second chunk's: what
+# ``AeadEncryptor.encrypt`` hands to ``seal_records``.
+BATCH = [(i.to_bytes(12, "little"), record) for i, record in
+         enumerate((b"\x00\x05", b"hello", b"\x01\x2c", bytes(range(256)) + bytes(44)))]
+AEADS = [ChaCha20Poly1305, AESGCM]
+
+
+@pytest.mark.parametrize("cls", AEADS)
+def test_batch_sealed_records_open_as_pure_hits(cls):
+    aead = cls(KEY)
+    sealed = aead.seal_records(BATCH)
+    calls = []
+    original = aead._open
+    aead._open = lambda *a: calls.append(a) or original(*a)
+    assert [aead.open(nonce, blob) for (nonce, _), blob in zip(BATCH, sealed)] \
+        == [record for _, record in BATCH]
+    assert calls == []
+
+
+@pytest.mark.parametrize("cls", AEADS)
+def test_repeated_batch_calls_no_raw_sealer(cls):
+    aead = cls(KEY)
+    first = aead.seal_records(BATCH)
+
+    def fail(*args):
+        raise AssertionError("raw sealer called")
+    aead._seal = aead._seal_records = fail
+    assert aead.seal_records(BATCH) == first
+
+
+@pytest.mark.parametrize("cls", AEADS)
+def test_tampered_batch_record_misses_the_cache_and_fails_auth(cls):
+    aead = cls(KEY)
+    for (nonce, _), blob in zip(BATCH, aead.seal_records(BATCH)):
+        with pytest.raises(AuthenticationError):
+            aead.open(nonce, bytes([blob[0] ^ 1]) + blob[1:])
+
+
+def test_disabled_cache_batch_stays_out_of_the_memo(monkeypatch):
+    monkeypatch.setattr(recordcache, "_enabled", False)
+    aead = ChaCha20Poly1305(KEY)
+    sealed = aead.seal_records(BATCH)
+    assert recordcache._cache == {}
+    assert [aead.open(nonce, blob) for (nonce, _), blob in zip(BATCH, sealed)] \
+        == [record for _, record in BATCH]
+
+
+def test_oversized_batch_record_bypasses_the_cache():
+    aead = ChaCha20Poly1305(KEY)
+    big = bytes(recordcache.MAX_RECORD + 1)
+    records = [(NONCE, b"small"), ((1).to_bytes(12, "little"), big)]
+    sealed = aead.seal_records(records)
+    assert sealed == [ReferenceChaCha20Poly1305(KEY).seal(nonce, pt) for nonce, pt in records]
+    assert len(recordcache._cache) == 2        # the small record's seal and open
+    assert aead.open(records[1][0], sealed[1]) == big
+
+
 def test_byte_draws_matches_randrange_stream():
     # byte_draws must consume the generator exactly like the randrange
     # loop it replaces: same bytes out, same state after.
