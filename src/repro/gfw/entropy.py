@@ -8,17 +8,23 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import Dict, Union
 
 __all__ = ["shannon_entropy"]
 
-# Memoized -p*log2(p) terms keyed on (count, total).  Feature packets
-# cluster around a handful of lengths with small per-byte counts, so the
-# same terms recur across connections; caching them skips most log2
-# calls while leaving the result bit-identical (same count/total -> same
-# float, and the summation order below is unchanged).  Bounded: cleared
-# wholesale if pathological inputs ever grow it past the cap.
-_PLOGP_CACHE: dict = {}
-_PLOGP_CACHE_MAX = 1 << 16
+# Memoized p*log2(p) terms, one table per payload length:
+# ``_TERMS[total][count]``.  Feature packets cluster around a handful of
+# lengths with small per-byte counts, so the same terms recur across
+# connections; looking a term up by its count alone builds no key per
+# byte value, and caching skips most log2 calls.  The result stays
+# bit-identical: same count/total -> same float, and the summation order
+# below is Counter's first-occurrence order.  Bounded by the number of
+# stored terms across all tables (the table for length L holds at most
+# L, one per count), cleared wholesale when the next term would pass the
+# cap.
+_TERMS: Dict[int, Dict[int, float]] = {}
+_TERMS_MAX = 1 << 16
+_terms_stored = 0
 
 # Whole-payload memo.  Long-horizon and repeated seeded runs feed the
 # detector the *same* feature packets over and over (the AEAD record
@@ -26,30 +32,41 @@ _PLOGP_CACHE_MAX = 1 << 16
 # within a process), so the byte string itself is the natural cache key;
 # a hit skips the O(n) histogram outright.  Same input -> same cached
 # float, so results are bit-identical by construction.
-_ENTROPY_CACHE: dict = {}
+_ENTROPY_CACHE: Dict[bytes, float] = {}
 _ENTROPY_CACHE_MAX = 1 << 12
 
 
-def shannon_entropy(data: bytes) -> float:
-    """Per-byte Shannon entropy, in bits (0.0 for empty/uniform input)."""
+def shannon_entropy(data: Union[bytes, bytearray, memoryview]) -> float:
+    """Per-byte Shannon entropy, in bits (0.0 for empty/uniform input).
+
+    ``data`` may be any bytes-like object; anything but ``bytes`` is
+    copied to ``bytes`` first, so the memo only ever keys on immutable
+    strings.
+    """
+    global _terms_stored
+    if not isinstance(data, bytes):
+        data = memoryview(data).tobytes()
     if not data:
         return 0.0
     cached = _ENTROPY_CACHE.get(data)
     if cached is not None:
         return cached
-    counts = Counter(data)
     total = len(data)
+    terms = _TERMS.get(total)
+    if terms is None:
+        terms = _TERMS[total] = {}
     entropy = 0.0
-    cache = _PLOGP_CACHE
-    cache_get = cache.get
-    for count in counts.values():
-        term = cache_get((count, total))
+    for count in Counter(data).values():
+        term = terms.get(count)
         if term is None:
             p = count / total
             term = p * math.log2(p)
-            if len(cache) >= _PLOGP_CACHE_MAX:
-                cache.clear()
-            cache[(count, total)] = term
+            if _terms_stored >= _TERMS_MAX:
+                _TERMS.clear()
+                terms = _TERMS[total] = {}
+                _terms_stored = 0
+            terms[count] = term
+            _terms_stored += 1
         entropy -= term
     if len(_ENTROPY_CACHE) >= _ENTROPY_CACHE_MAX:
         _ENTROPY_CACHE.clear()

@@ -358,9 +358,13 @@ def bench_detector(*, packets: int = 20000, repeats: int = 3,
     pipeline shape — the paper's passive classifier, the deterministic
     entropy and VMess stages, and a three-member weighted ensemble —
     plus the passive stage fed through ``evaluate_batch``, reporting
-    flagged-or-not decisions per wall-clock second (flags/s).
+    flagged-or-not decisions per wall-clock second (flags/s).  It also
+    times ``shannon_entropy`` alone on payloads that miss its payload
+    memo (calls/s).
     """
+    from repro.gfw.entropy import shannon_entropy
     from repro.gfw.stages import DetectorContext, build_stage, training_corpus
+    from repro.runtime.scale import ScaleFlowsConfig
 
     if progress:
         progress(f"detector: {packets} packets")
@@ -407,6 +411,31 @@ def bench_detector(*, packets: int = 20000, repeats: int = 3,
         name="detector.passive_batch", unit="flags/s",
         value=_best_of(run_batch, repeats),
         params={"packets": packets, "spec": "passive"}))
+
+    # The corpus above repeats 256 payloads, so the entries above read
+    # every entropy from the payload memo.  Time the computation itself
+    # on census-shaped Shadowsocks feature packets that no earlier call
+    # has seen: a fresh seed per repeat, each corpus built untimed.
+    shape = ScaleFlowsConfig()
+    lengths = (shape.ss_min_len, shape.ss_max_len)
+    distinct: List[bytes] = []
+
+    def run_distinct() -> int:
+        for payload in distinct:
+            shannon_entropy(payload)
+        return len(distinct)
+
+    if progress:
+        progress("detector: entropy_distinct")
+    best = 0.0
+    for repeat in range(max(1, repeats)):
+        rng = random.Random(0xE27 + repeat)
+        distinct[:] = [rng.randbytes(rng.randint(*lengths))
+                       for _ in range(packets)]
+        best = max(best, _best_of(run_distinct, 1))
+    entries.append(BenchEntry(
+        name="detector.entropy_distinct", unit="calls/s", value=best,
+        params={"packets": packets, "lengths": list(lengths)}))
     return _stamp(entries)
 
 

@@ -10,36 +10,45 @@ deterministic for a given seed, so it travels inside cached
 
 Canonical event names (``<layer>.<subject>[.<detail>]``):
 
-==============================  ===============================================
-``sim.events``                  events processed by :meth:`Simulator.run`
-``net.loss``                    segments dropped by an impairment's loss draw
-``net.reorder``                 segments delayed by a reorder draw
-``net.duplicate``               segments duplicated in flight
-``net.flap.drop``               segments lost to a scheduled link blackout
-``net.ttl.expired``             segments discarded when hops exhausted the TTL
-``net.udp.*``                   datagram counterparts of the fault counters
-``tcp.retransmit``              segments re-sent by the retransmission timer
-``tcp.syn.retry``               connection-opening SYNs re-sent
-``tcp.ooo.buffered``            out-of-order segments held for reassembly
-``tcp.dup.dropped``             wholly-duplicate segments discarded on receive
-``tcp.timeout``                 connections that gave up after max retries
-``gfw.flow.opened``             border-crossing flows entered into the flow table
-``gfw.flow.evicted``            flow-table entries reclaimed by eviction
-``gfw.flow.syn.retransmit``     retransmitted SYNs seen on live flows
-``gfw.conn.flagged``            first-data packets the passive detector flagged
-``gfw.conn.reflag.suppressed``  repeat flag decisions deduplicated per flow
-``gfw.cache.inside_cleared``    border-geometry cache resets at capacity
-``gfw.segment.dropped``         segments dropped by the blocking module
-``gfw.block.applied``           block rules installed
-``probe.sent``                  probes dispatched by the prober runner
-``probe.reaction.<R>``          probe outcomes, by reaction (``RST``...)
-``probe.type.<T>``              probes sent, by probe type (``R1``, ``NR2``...)
-``scheduler.stage2``            servers escalated to stage-2 probing
-``ss.session.accepted``         connections accepted by Shadowsocks servers
-``ss.session.error``            Shadowsocks handshakes that failed server-side
-``ss.session.proxied``          sessions that reached the proxying state
-``workload.fetch``              fetches issued by workload drivers
-==============================  ===============================================
+==================================  ===============================================
+``sim.events``                      events processed by :meth:`Simulator.run`
+``net.loss``                        segments dropped by an impairment's loss draw
+``net.reorder``                     segments delayed by a reorder draw
+``net.duplicate``                   segments duplicated in flight
+``net.flap.drop``                   segments lost to a scheduled link blackout
+``net.ttl.expired``                 segments discarded when hops exhausted the TTL
+``net.udp.*``                       datagram counterparts of the fault counters
+``tcp.retransmit``                  segments re-sent by the retransmission timer
+``tcp.syn.retry``                   connection-opening SYNs re-sent
+``tcp.ooo.buffered``                out-of-order segments held for reassembly
+``tcp.dup.dropped``                 wholly-duplicate segments discarded on receive
+``tcp.timeout``                     connections that gave up after max retries
+``gfw.flow.opened``                 border-crossing flows entered into the flow table
+``gfw.flow.evicted``                flow-table entries reclaimed by eviction
+``gfw.flow.syn.retransmit``         retransmitted SYNs seen on live flows
+``gfw.conn.flagged``                first-data packets the passive detector flagged
+``gfw.conn.reflag.suppressed``      repeat flag decisions deduplicated per flow
+``gfw.cache.inside_cleared``        border-geometry cache resets at capacity
+``gfw.segment.dropped``             segments dropped by the blocking module
+``gfw.block.applied``               block rules installed
+``probe.sent``                      probes dispatched by the prober runner
+``probe.reaction.<R>``              probe outcomes, by reaction (``RST``...)
+``probe.type.<T>``                  probes sent, by probe type (``R1``, ``NR2``...)
+``probe.replay_delay``              scalar series: seconds from trigger to probe
+``scheduler.stage2``                servers escalated to stage-2 probing
+``scheduler.tor.confirmed``         Tor bridges a probe confirmed (stage 1 -> 2)
+``scheduler.tor.block_scheduled``   block rules queued for confirmed bridges
+``ss.session.accepted``             connections accepted by Shadowsocks servers
+``ss.session.error``                Shadowsocks handshakes that failed server-side
+``ss.session.proxied``              sessions that reached the proxying state
+``obfs.session.accepted``           connections accepted by obfs bridges
+``obfs.session.handshake``          obfs handshakes that completed server-side
+``obfs.session.rejected``           parse failures closed with a FIN
+``obfs.session.drained``            sessions that swallow input and never answer
+``obfs.session.proxied``            obfs sessions that reached the proxying state
+``scale.segments``                  synthetic segments the scale harness tracked
+``workload.fetch``                  fetches issued by workload drivers
+==================================  ===============================================
 
 New emitters should follow the same naming scheme; consumers must treat
 unknown names as forward-compatible.

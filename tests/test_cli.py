@@ -226,8 +226,9 @@ def test_bench_detector_suite(tmp_path, capsys):
     assert main(["bench", "--suite", "detector", "--quick",
                  "--out-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "BENCH_detector.json").read_text())
-    names = {entry["name"] for entry in doc}
+    units = {entry["name"]: entry["unit"] for entry in doc}
+    assert units.pop("detector.entropy_distinct") == "calls/s"
     assert {"detector.passive", "detector.entropy", "detector.vmess",
-            "detector.ensemble", "detector.passive_batch"} <= names
-    assert all(entry["unit"] == "flags/s" for entry in doc)
+            "detector.ensemble", "detector.passive_batch"} <= set(units)
+    assert all(unit == "flags/s" for unit in units.values())
     assert all(entry["value"] > 0 for entry in doc)

@@ -26,6 +26,21 @@ def test_entropy_uniform_random_near_8():
     assert shannon_entropy(data) > 7.95
 
 
+def test_entropy_accepts_any_bytes_like():
+    from repro.gfw import entropy
+
+    buffer = random_payload(1000, random.Random(9))
+    data = buffer[10:910]
+    values = []
+    for form in (data, bytearray(data), memoryview(buffer)[10:910]):
+        entropy._ENTROPY_CACHE.clear()     # each form computes its own value
+        values.append(shannon_entropy(form))
+    assert values[0] == values[1] == values[2]
+    assert shannon_entropy(bytearray()) == shannon_entropy(memoryview(b"")) == 0.0
+    # Only immutable bytes are kept as memo keys, never a caller's buffer.
+    assert all(type(key) is bytes for key in entropy._ENTROPY_CACHE)
+
+
 def test_entropy_targeted_payloads():
     rng = random.Random(8)
     for target in (1.0, 2.0, 3.0, 5.0, 7.0):
