@@ -45,5 +45,5 @@ bench-cold:
 	$(PYTHON) benchmarks/cold_floors.py
 
 clean:
-	rm -rf runs benchmarks/output .pytest_cache .hypothesis
+	rm -rf runs benchmarks/output/runs .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -31,6 +31,13 @@ class Capture:
     this is how the streaming analysis pipeline observes a host's
     traffic at constant memory: ``buffering = False`` keeps the taps
     firing while nothing accumulates.
+
+    A bare capture buffers, but a world's hosts do not unless the world
+    was built with ``stream_captures=False`` (see
+    :func:`repro.runtime.topology.build_world`).  Reading a log that was
+    not kept — ``records``, iteration, every query helper — raises
+    :class:`RuntimeError` rather than answering with an empty list;
+    ``len()`` of such a capture is 0.
     """
 
     def __init__(self):
@@ -48,6 +55,14 @@ class Capture:
 
     @property
     def records(self) -> List[CaptureRecord]:
+        if not self.buffering:
+            raise RuntimeError(
+                "this capture keeps no records: buffering is off, so turn "
+                "it on before the run to read the log (a world's hosts "
+                "keep one only when built with stream_captures=False)")
+        return self._materialize()
+
+    def _materialize(self) -> List[CaptureRecord]:
         raw = self._raw
         mat = self._materialized
         if len(mat) != len(raw):
@@ -75,7 +90,7 @@ class Capture:
         if self.buffering:
             # Keep the prefix invariant: materialize anything pending
             # before appending, so ``_materialized`` stays aligned.
-            mat = self.records
+            mat = self._materialize()
             self._raw.append((time, sent, seg))
             mat.append(rec)
         for tap in self.taps:

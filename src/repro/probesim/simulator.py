@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..gfw.probes import NR1_LENGTHS, Probe, ProbeForge, ProbeType
-from ..net import Host, Network, Simulator
+from ..net import CaptureRecord, Host, Network, Simulator
 from ..shadowsocks import ShadowsocksClient, ShadowsocksServer
 from .reactions import ReactionKind, classify_reaction
 
@@ -64,6 +64,11 @@ class ProberSimulator:
         self.client_host = Host(self.sim, self.net, CLIENT_IP, "client")
         self.prober_host = Host(self.sim, self.net, PROBER_IP, "prober")
         self.web_host = Host(self.sim, self.net, WEB_IP, "web")
+        # Nothing reads these logs; record_legitimate_payload taps the
+        # client's capture for the one segment it needs.
+        for host in (self.server_host, self.client_host, self.prober_host,
+                     self.web_host):
+            host.capture.buffering = False
         self.net.register_name("target.example", WEB_IP)
 
         def web_app(conn):
@@ -88,21 +93,33 @@ class ProberSimulator:
 
         This is the payload the GFW would have recorded for replaying.
         """
-        self.client.open(target[0], target[1], app_payload)
-        self.sim.run(until=self.sim.now + 5.0)
-        for rec in self.client_host.capture.sent():
-            if rec.segment.is_data and rec.segment.dst_port == SS_PORT:
-                payload = bytes(rec.segment.payload)
-                # Register the original send time so TimedReplayFilter can
-                # model the client-embedded timestamp (see server engine).
-                registry = getattr(self.server, "timestamp_registry", None)
-                if registry is None:
-                    registry = {}
-                    self.server.timestamp_registry = registry
-                spec = self.server.cipher_spec
-                registry[payload[: spec.iv_len]] = rec.time
-                return payload
-        raise RuntimeError("legitimate connection produced no data packet")
+        first: List[CaptureRecord] = []
+
+        def tap(rec: CaptureRecord) -> None:
+            if (not first and rec.sent and rec.segment.is_data
+                    and rec.segment.dst_port == SS_PORT):
+                first.append(rec)
+
+        capture = self.client_host.capture
+        capture.subscribe(tap)
+        try:
+            self.client.open(target[0], target[1], app_payload)
+            self.sim.run(until=self.sim.now + 5.0)
+        finally:
+            capture.taps.remove(tap)
+        if not first:
+            raise RuntimeError("legitimate connection produced no data packet")
+        rec = first[0]
+        payload = bytes(rec.segment.payload)
+        # Register the original send time so TimedReplayFilter can
+        # model the client-embedded timestamp (see server engine).
+        registry = getattr(self.server, "timestamp_registry", None)
+        if registry is None:
+            registry = {}
+            self.server.timestamp_registry = registry
+        spec = self.server.cipher_spec
+        registry[payload[: spec.iv_len]] = rec.time
+        return payload
 
     # ---------------------------------------------------------------- probing
 

@@ -68,10 +68,11 @@ class World:
     rng: random.Random
     hosts: Dict[str, Host] = field(default_factory=dict)
     _next_ip: Dict[str, int] = field(default_factory=dict)
-    # Streaming mode: host captures stay enabled (so analysis taps fire)
-    # but buffer nothing, keeping long runs constant-memory.  Legacy
-    # capture-based accessors see empty captures in this mode.
-    stream_captures: bool = False
+    # Streaming (the default): host captures stay enabled, so analysis
+    # taps fire, but buffer nothing, keeping long runs constant-memory.
+    # Reading such a host's log raises; a caller that reads one builds
+    # the world with ``stream_captures=False``.
+    stream_captures: bool = True
 
     # Host indices run 10..254: below 10 is reserved for infrastructure
     # conventions, 255 would be the broadcast address.
@@ -138,7 +139,7 @@ def build_world(
     probe_behaviors: Optional[Dict[str, Any]] = None,
     websites: Optional[List[str]] = None,
     impairment: Optional[Impairment] = None,
-    stream_captures: bool = False,
+    stream_captures: bool = True,
     shard: Optional[Tuple[int, int]] = None,
 ) -> World:
     """Build a bordered world with a GFW on the path.
@@ -165,10 +166,13 @@ def build_world(
     drawn from the world RNG — so enabling impairments never shifts the
     seed derivations of the GFW, hosts, or workloads.
 
-    ``stream_captures`` disables capture *buffering* on every host
-    (including the fleet anchor) while leaving captures enabled, so
-    streaming-analysis taps still see every segment but nothing
-    accumulates in memory.
+    ``stream_captures`` (on by default) disables capture *buffering*
+    on every host (including the fleet anchor) while leaving captures
+    enabled, so streaming-analysis taps still see every segment but
+    nothing accumulates in memory.  Reading such a host's log
+    (``capture.records``, its query helpers, ``export_capture``) raises
+    :class:`RuntimeError`; a caller that reads a log passes
+    ``stream_captures=False`` to keep one.
     """
     rng = random.Random(seed)
     sim = Simulator()

@@ -28,6 +28,7 @@ def tunnel_world(profile, method="chacha20-ietf-poly1305", seed=1,
         scheduler_config=scheduler_config,
         blocking_policy=blocking_policy or BlockingPolicy(human_gated=True),
         websites=["www.wikipedia.org", "example.com", "gfw.report"],
+        stream_captures=False,
     )
     server_host = world.add_server("ss-server", region="uk")
     client_host = world.add_client("client")
@@ -102,7 +103,7 @@ def test_control_host_receives_no_probes():
 def test_bidirectional_triggering():
     """A Shadowsocks server *inside* China is probed as well (§4.2)."""
     world = build_world(seed=4, detector_config=AGGRESSIVE_DETECTOR,
-                        websites=["example.com"])
+                        websites=["example.com"], stream_captures=False)
     server_host = world.add_client("inside-server", residential=True)
     client_host = world.add_server("outside-client", region="us")
     ShadowsocksServer(server_host, 8388, "pw", "chacha20-ietf-poly1305",

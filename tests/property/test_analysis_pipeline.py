@@ -11,6 +11,7 @@ Two invariants anchor the refactor:
    never raw captures — must merge to the same bytes as a serial sweep.
 """
 
+import random
 from typing import Dict
 
 import pytest
@@ -19,8 +20,13 @@ from hypothesis import strategies as st
 
 from repro.analysis import extract_probes
 from repro.analysis.pipeline import series
+from repro.gfw import DetectorConfig
+from repro.probesim import ProberSimulator
 from repro.runtime import JobSpec, execute_job, get_scenario
 from repro.runtime.scenario import canonical_json
+from repro.runtime.topology import build_world
+from repro.shadowsocks import ShadowsocksClient, ShadowsocksServer
+from repro.workloads import CurlDriver
 
 # Deliberately small parameterizations: every scenario in minutes-of-sim
 # rather than days, so the whole module stays tier-1 friendly.
@@ -194,15 +200,49 @@ def test_merged_analysis_equals_merged_states():
 # -------------------------------------------------- bounded memory
 
 
+def _tunnel_world_captures(**world_kwargs):
+    """Every capture of a small probed tunnel world, after its run."""
+    world = build_world(seed=3,
+                        detector_config=DetectorConfig(base_rate=1.0,
+                                                       length_filter=False,
+                                                       entropy_filter=False),
+                        websites=["example.com"], **world_kwargs)
+    server_host = world.add_server("server")
+    client_host = world.add_client("client")
+    ShadowsocksServer(server_host, 8388, "pw", "chacha20-ietf-poly1305",
+                      "outline-1.0.7")
+    client = ShadowsocksClient(client_host, server_host.ip, 8388, "pw",
+                               "chacha20-ietf-poly1305")
+    CurlDriver(client, rng=random.Random(3),
+               sites=["example.com"]).run_schedule(4, 30.0)
+    world.sim.run(until=1800.0)
+    assert world.gfw.probe_log
+    return [h.capture for h in world.hosts.values()] + [world.gfw.fleet_host.capture]
+
+
 def test_stream_captures_bounded_memory():
-    """``stream_captures`` drops capture buffering without changing output."""
+    """``stream_captures`` drops capture buffering without changing output.
+
+    It is the default for a world, and the prober simulator keeps no log.
+    """
     _, buffered = _build("sink", seed=2)
     _, streamed = _build("sink", seed=2, extra={"stream_captures": True})
     assert (canonical_json(streamed.pipeline.payload())
             == canonical_json(buffered.pipeline.payload()))
     buffered_records = sum(len(h.capture.records)
                            for h in buffered.world.hosts.values())
-    streamed_records = sum(len(h.capture.records)
+    streamed_records = sum(len(h.capture)
                            for h in streamed.world.hosts.values())
     assert buffered_records > 0
     assert streamed_records == 0
+
+    assert all(len(capture) == 0 for capture in _tunnel_world_captures())
+    assert all(capture.records
+               for capture in _tunnel_world_captures(stream_captures=False))
+
+    sim = ProberSimulator("ss-libev-3.3.1", "aes-256-gcm")
+    sim.record_legitimate_payload()
+    for length in (1, 50, 221):
+        sim.send_random_probe(length)
+    hosts = (sim.server_host, sim.client_host, sim.prober_host, sim.web_host)
+    assert all(len(host.capture) == 0 for host in hosts)

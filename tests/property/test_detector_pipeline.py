@@ -38,7 +38,8 @@ def _run_workload(detectors, detector_config=None, seed=5):
     world = build_world(seed=seed,
                         detector_config=detector_config,
                         detectors=detectors,
-                        websites=["example.com"])
+                        websites=["example.com"],
+                        stream_captures=False)
     server_host = world.add_server("server", region="uk")
     client_host = world.add_client("client")
     ShadowsocksServer(server_host, 8388, "pw", "chacha20-ietf-poly1305",

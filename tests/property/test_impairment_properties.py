@@ -65,7 +65,8 @@ def _run_workload(impairment):
     world = build_world(seed=5,
                         detector_config=DetectorConfig(base_rate=1.0),
                         websites=["example.com"],
-                        impairment=impairment)
+                        impairment=impairment,
+                        stream_captures=False)
     server_host = world.add_server("server", region="uk")
     client_host = world.add_client("client")
     ShadowsocksServer(server_host, 8388, "pw", "chacha20-ietf-poly1305",

@@ -52,6 +52,17 @@ def test_quickstart_command(capsys):
     assert "flagged:" in out
 
 
+def test_brdgrd_command(capsys):
+    assert main(["brdgrd", "--hours", "3", "--seed", "1"]) == 0
+    *hours, blank, rates = capsys.readouterr().out.splitlines()
+    # One line per started hour: h0..h3, brdgrd on for the middle third.
+    assert [line.split()[:2] for line in hours] == [
+        ["h", "0"], ["h", "1"], ["h", "2"], ["h", "3"]]
+    assert [("BRDGRD" in line) for line in hours] == [False, True, False, False]
+    assert blank == ""
+    assert rates.startswith("probes/hour: active=") and " inactive=" in rates
+
+
 def test_blocking_command(capsys):
     assert main(["blocking", "--days", "0.5", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.net import Capture, Flags, Host, Middlebox, Network, Segment, Simulator
+from repro.net import (
+    Capture,
+    Flags,
+    Host,
+    Middlebox,
+    Network,
+    Segment,
+    Simulator,
+    export_capture,
+)
 
 
 def seg(src="1.1.1.1", dst="2.2.2.2", sport=1000, dport=80, flags=Flags.SYN,
@@ -30,6 +39,26 @@ def test_capture_disable():
     cap.enabled = False
     cap.record(seg(), 1.0, sent=False)
     assert len(cap) == 0
+
+
+def test_capture_without_buffering_cannot_be_read(tmp_path):
+    cap = Capture()
+    cap.buffering = False
+    seen = []
+    cap.record(seg(), 1.0, sent=False)
+    cap.subscribe(seen.append)
+    cap.record(seg(), 2.0, sent=False)
+    cap.record(seg(flags=Flags.PSH | Flags.ACK, payload=b"xy"), 3.0, sent=True)
+    assert len(cap) == 0
+    assert [(rec.time, rec.sent) for rec in seen] == [(2.0, False), (3.0, True)]
+    path = tmp_path / "x.pcap"
+    reads = [lambda: cap.records, cap.sent, cap.received, cap.syns_received,
+             lambda: list(cap), lambda: export_capture(path, cap),
+             lambda: export_capture(path, cap, received_only=True)]
+    for read in reads:
+        with pytest.raises(RuntimeError, match="keeps no records"):
+            read()
+    assert not path.exists()
 
 
 def test_capture_first_payload_from():

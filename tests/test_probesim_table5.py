@@ -115,6 +115,20 @@ def test_replay_after_server_restart_bypasses_bloom_filter():
     assert after.reaction == ReactionKind.DATA  # filter state lost
 
 
+def test_second_recording_returns_its_own_payload():
+    """Each call records its own connection's first payload and salt."""
+    sim = ProberSimulator("ss-libev-3.3.1", "aes-256-gcm")
+    first = sim.record_legitimate_payload()
+    extra = b"Host: target.example\r\n"
+    second = sim.record_legitimate_payload(
+        b"GET / HTTP/1.1\r\n" + extra + b"\r\n")
+    assert len(second) == len(first) + len(extra)
+    salt_len = sim.server.cipher_spec.iv_len
+    registry = sim.server.timestamp_registry
+    assert second[:salt_len] != first[:salt_len]
+    assert registry[second[:salt_len]] > registry[first[:salt_len]]
+
+
 def test_timed_filter_still_rejects_after_restart():
     sim = ProberSimulator("ss-libev-3.3.1", "aes-256-gcm",
                           timed_replay_window=120.0)
