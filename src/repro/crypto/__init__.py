@@ -11,7 +11,7 @@ from .chacha20 import ChaCha20, chacha20_block
 from .kdf import derive_subkey, evp_bytes_to_key, hkdf_sha1
 from .modes import CFBMode, CTRMode
 from .poly1305 import poly1305_mac
-from .registry import CIPHERS, CipherKind, CipherSpec, get_spec, specs_by_kind
+from .registry import CIPHERS, CipherKind, CipherSpec, get_spec
 from .stream import RC4, ChaCha20DJB, new_stream_cipher
 
 __all__ = [
@@ -35,5 +35,4 @@ __all__ = [
     "new_aead",
     "new_stream_cipher",
     "poly1305_mac",
-    "specs_by_kind",
 ]

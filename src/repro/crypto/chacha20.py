@@ -5,21 +5,39 @@ ChaCha20 as the keystream half of ``chacha20-ietf-poly1305``; this
 cipher carries the bulk of the simulated tunnel traffic.
 
 Every keystream comes from one function, ``_keystream``, which runs the
-20 rounds once per *batch* of blocks rather than once per block: each
-of the 16 state words is one Python int holding every block of the
-batch in its own 64-bit lane (the 32-bit word over 32 guard bits).  An
-add's carry and a rotate's spill from the neighbouring lane land in the
-guard bits, and masking with the lane mask clears them, so the unrolled
-double round does the same 32-bit arithmetic for all lanes at once and
-the bytes are those of the per-block definition.  Words 0-11 (constants
-and key) are the same in every lane; words 12-15 (counter and nonce)
-are packed per lane, so the blocks of one batch may belong to different
-nonces.  A big-int operation costs little more for eight lanes than for
-one, so one call seals both records of a Shadowsocks chunk (each a
-Poly1305 key block and its keystream blocks) for a little more than the
-cost of one block.  This is ChaCha20's only path, for every batch size.
-The incremental ciphers consume the keystream through a cursor and XOR
-whole buffers at a time.
+20 rounds once per *batch* of blocks rather than once per block.  Each
+block's words sit in 64-bit lanes of Python ints (the 32-bit word over
+32 guard bits): an add's carry and a rotate's spill from the
+neighbouring lane land in the guard bits, and masking with the lane
+mask clears them, so one big-int operation does the same 32-bit
+arithmetic for every lane and the bytes are those of the per-block
+definition.  Words 0-11 (constants and key) are the same in every
+block; words 12-15 (counter and nonce) are packed per block, so the
+blocks of one batch may belong to different nonces, and one call seals
+both records of a Shadowsocks chunk (each a Poly1305 key block and its
+keystream blocks).
+
+The batch size picks one of two packings.  A big-int operation costs
+little more for a few lanes than for one, so a small batch pays for the
+number of operations, and a large one for their width:
+
+* Below ``LANE_MIN_BLOCKS`` the state is packed by *row*: four ints,
+  row ``r`` holding words 4r..4r+3 as four segments of one lane per
+  block.  A column round is one quarter-round on the four rows, and a
+  diagonal round is the same quarter-round after rotating rows 1, 2
+  and 3 by one, two and three whole segments (RFC 8439 §2.3): 80
+  operations per double round.  The chunk seals of the simulated
+  tunnels (2-10 blocks) and the failed opens of random probes run here.
+* From ``LANE_MIN_BLOCKS`` up the state is packed by *word*: sixteen
+  ints, one per state word, and the double round is the eight
+  quarter-rounds unrolled, 224 operations on ints a quarter the width.
+  The 16 KiB records of a tunnel at full payload (257 blocks) and bulk
+  stream-cipher traffic run here.
+
+Neither packing wins at both ends, so both stay: at 32 to 4,096 blocks
+the row loop runs at 0.7-0.9x the lane loop, and cutting such a batch
+into 29-block row calls at 0.6-0.8x.  The incremental ciphers consume
+the keystream through a cursor and XOR whole buffers at a time.
 """
 
 from __future__ import annotations
@@ -34,10 +52,38 @@ __all__ = ["chacha20_block", "ChaCha20"]
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 _M = 0xFFFFFFFF
 
+# Below this many blocks the row-packed loop runs, from it the
+# lane-packed one.  Lane time over row time on a 2-core x86 host,
+# median of 15 interleaved reps: 1.99 at 2 blocks, 1.73 at 5, 1.56 at
+# 8, 1.57 at 9, 1.20 at 16, 1.15 at 20, 1.07 at 24, 1.06-1.15 at 28
+# and 1.04-1.12 at 29 (three runs), then 0.88 at 30 in all three runs,
+# 0.85-0.89 at 32 and 0.85-0.99 up to 40.
+LANE_MIN_BLOCKS = 30
+
 
 def _lanes(words) -> int:
     """Pack 32-bit ``words`` into one int, one 64-bit lane each."""
     return int.from_bytes(struct.pack(f"<{len(words)}Q", *words), "little")
+
+
+def _row_constants(nblocks: int) -> tuple:
+    """What the row loop needs for a batch of ``nblocks``, built once.
+
+    A segment is ``nblocks`` lanes (``seg`` bits).  Returns the lane
+    mask of a row, the ones of one segment (a word times it is that word
+    in every lane), the masks of a row's low one, two and three
+    segments, and row 0 (the four constants).
+    """
+    seg = 64 * nblocks
+    one = int.from_bytes((b"\x01" + bytes(7)) * nblocks, "little")
+    lane_mask = one * _M * (1 | 1 << seg | 1 << 2 * seg | 1 << 3 * seg)
+    low1, low2, low3 = [(1 << k * seg) - 1 for k in (1, 2, 3)]
+    row0 = sum(w * one << c * seg for c, w in enumerate(_CONSTANTS))
+    return lane_mask, one, low1, low2, low3, row0
+
+
+# Indexed by batch size: about 60 KB for the 29 row-loop sizes.
+_ROW_CONSTANTS = tuple(_row_constants(n) for n in range(LANE_MIN_BLOCKS))
 
 
 def _keystream(init, tails) -> bytes:
@@ -50,11 +96,55 @@ def _keystream(init, tails) -> bytes:
     words 14-15 (the original DJB variant).  All four words are packed
     per lane, so a batch may mix nonces, and a carry out of any word
     (consecutive nonces 2^32-1 and 2^32) is the caller's to compute.
-    The double round is fully unrolled over sixteen named locals: list
-    loads and stores and a quarter-round index walk would cost more than
-    the arithmetic.
+    Both round loops are fully unrolled over named locals: list loads
+    and stores and a quarter-round index walk would cost more than the
+    arithmetic.
     """
     nblocks = len(tails)
+    if nblocks < LANE_MIN_BLOCKS:
+        # Row r is segments 0-3 = words 4r..4r+3, lane j of a segment
+        # being block j.  Words 12-15 come column-major from ``tails``.
+        m, one, low1, low2, low3, a0 = _ROW_CONSTANTS[nblocks]
+        s1 = 64 * nblocks
+        s2, s3 = 2 * s1, 3 * s1
+        b0 = init[4] * one | init[5] * one << s1 | init[6] * one << s2 | init[7] * one << s3
+        c0 = init[8] * one | init[9] * one << s1 | init[10] * one << s2 | init[11] * one << s3
+        w12, w13, w14, w15 = zip(*tails)
+        d0 = _lanes(w12 + w13 + w14 + w15)
+        a, b, c, d = a0, b0, c0, d0
+        for _ in range(10):
+            # Column round: QR(a, b, c, d) on every column at once.
+            a = (a + b) & m; d ^= a; d = ((d << 16) | (d >> 16)) & m
+            c = (c + d) & m; b ^= c; b = ((b << 12) | (b >> 20)) & m
+            a = (a + b) & m; d ^= a; d = ((d << 8) | (d >> 24)) & m
+            c = (c + d) & m; b ^= c; b = ((b << 7) | (b >> 25)) & m
+            # Diagonal round: segment i of b, c, d takes the word of
+            # column i+1, i+2, i+3 (mod 4), so the same quarter-round
+            # runs QR(0,5,10,15) QR(1,6,11,12) QR(2,7,8,13) QR(3,4,9,14).
+            b = (b >> s1) | ((b & low1) << s3)
+            c = (c >> s2) | ((c & low2) << s2)
+            d = (d >> s3) | ((d & low3) << s1)
+            a = (a + b) & m; d ^= a; d = ((d << 16) | (d >> 16)) & m
+            c = (c + d) & m; b ^= c; b = ((b << 12) | (b >> 20)) & m
+            a = (a + b) & m; d ^= a; d = ((d << 8) | (d >> 24)) & m
+            c = (c + d) & m; b ^= c; b = ((b << 7) | (b >> 25)) & m
+            b = (b >> s3) | ((b & low3) << s1)
+            c = (c >> s2) | ((c & low2) << s2)
+            d = (d >> s1) | ((d & low1) << s3)
+        # Feed-forward, then OR each row with itself shifted down by a
+        # segment less 32 bits: segments 0 and 2 then hold the word
+        # pairs (4r, 4r+1) and (4r+2, 4r+3), lane j being 8 bytes of
+        # block j (the guard bits shifted in are zero).  The four rows
+        # go out as one int; pair p is 64-bit items 2pn..2pn+n-1.
+        rows = 0
+        for r, (x, x0) in enumerate(((a, a0), (b, b0), (c, c0), (d, d0))):
+            x = (x + x0) & m
+            rows |= (x | x >> (s1 - 32)) << 4 * r * s1
+        items = memoryview(rows.to_bytes(128 * nblocks, "little")).cast("Q")
+        out = memoryview(bytearray(64 * nblocks)).cast("Q")
+        for p in range(8):
+            out[p::8] = items[2 * p * nblocks : (2 * p + 1) * nblocks]
+        return out.tobytes()
     one = int.from_bytes((b"\x01" + bytes(7)) * nblocks, "little")
     m = one * _M
     i0, i1, i2, i3, i4, i5, i6, i7, i8, i9, iA, iB = [w * one for w in init]

@@ -106,9 +106,6 @@ class AESGCM:
         self._tables = None
         self._hashed = 0
 
-    def _ghash(self, data: bytes) -> int:
-        return self._ghash_update(0, data)
-
     def _ghash_update(self, y: int, data: bytes) -> int:
         """Fold ``data`` (zero-padded to a block boundary) into GHASH state."""
         n = len(data)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-__all__ = ["CipherKind", "CipherSpec", "CIPHERS", "get_spec", "specs_by_kind"]
+__all__ = ["CipherKind", "CipherSpec", "CIPHERS", "get_spec"]
 
 
 class CipherKind:
@@ -62,6 +62,3 @@ def get_spec(name: str) -> CipherSpec:
     except KeyError:
         raise ValueError(f"unknown cipher method: {name!r}") from None
 
-
-def specs_by_kind(kind: str) -> List[CipherSpec]:
-    return [spec for spec in _ALL_SPECS if spec.kind == kind]

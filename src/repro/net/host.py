@@ -78,10 +78,7 @@ class Host:
 
         network.attach(self)
 
-    # ----------------------------------------------------------------- clock
-
-    def tsval_now(self) -> int:
-        return int(self._tsval_offset + self.tsval_rate * self.sim.now) & 0xFFFFFFFF
+    # ------------------------------------------------------------------- ids
 
     def next_ip_id(self) -> int:
         # The paper finds "no clear pattern" in prober IP IDs; model as

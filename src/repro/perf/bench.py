@@ -140,6 +140,8 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
     Stream ciphers report ``encrypt`` and ``decrypt`` MB/s; AEADs report
     ``seal`` and ``open`` MB/s (AEAD messages are sealed in 16 KiB
     chunks, the shape of Shadowsocks AEAD tunnel traffic at max payload).
+    ``seal_chunks`` seals ChaCha20-Poly1305 chunks of 64-576 B with their
+    length records, the shape of the simulated tunnels' traffic.
     ``only`` substring-filters cipher names.
 
     The AEAD record memo is disabled for the duration: this suite reports
@@ -228,6 +230,35 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
                 value=_best_of(cfb_enc, repeats) / 1e6,
                 params={"size": size, "cipher": "aes-128-cfb",
                         "sequential": True}))
+        if not only or only in "chacha20-ietf-poly1305":
+            # Tunnel-shaped chunks: each call seals a 2-byte length
+            # record and a 64-576 B payload record under consecutive
+            # nonces, as ``AeadEncryptor.encrypt`` does.  That is 4-12
+            # keystream blocks a call, the row-packed ChaCha20 loop; the
+            # 16 KiB chunks above run the lane-packed one.
+            if progress:
+                progress("crypto: chacha20-ietf-poly1305 tunnel chunks")
+            chunk_rng = random.Random(0xC4C4)
+            aead = new_aead("chacha20-ietf-poly1305", chunk_rng.randbytes(32))
+            calls = []
+            pos = 0
+            while pos < size:
+                piece = data[pos : pos + chunk_rng.randint(64, 576)]
+                nonce = 2 * len(calls)
+                calls.append([(nonce.to_bytes(12, "little"),
+                               len(piece).to_bytes(2, "big")),
+                              ((nonce + 1).to_bytes(12, "little"), piece)])
+                pos += len(piece)
+
+            def seal_chunks() -> int:
+                for records in calls:
+                    aead.seal_records(records)
+                return size
+
+            entries.append(BenchEntry(
+                name="crypto.chacha20-ietf-poly1305.seal_chunks", unit="MB/s",
+                value=_best_of(seal_chunks, repeats) / 1e6,
+                params={"size": size, "payload": [64, 576]}))
     finally:
         recordcache.set_enabled(memo_was)
     return _stamp(entries)

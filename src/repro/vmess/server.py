@@ -77,6 +77,7 @@ class _VmessSession:
         self.remote = None
         self.request = None
         self._response_cipher = None
+        self._connect_timer = None
         conn.on_data = self._on_data
         conn.on_remote_fin = self._client_fin
         conn.on_reset = self._client_reset
@@ -92,17 +93,21 @@ class _VmessSession:
             self.conn.close()
 
     def _client_fin(self) -> None:
-        if self.remote is not None and self.remote.is_open:
-            self.remote.close()
+        if self.remote is not None:
+            if self.remote.is_open:
+                self.remote.close()
+            elif self.state == "connecting":
+                self.remote.abort()
         self.state = "done"
         self.conn.close()
         self._idle.cancel()
 
     def _client_reset(self) -> None:
+        if self.remote is not None and (self.remote.is_open
+                                        or self.state == "connecting"):
+            self.remote.abort()
         self.state = "done"
         self._idle.cancel()
-        if self.remote is not None and self.remote.is_open:
-            self.remote.abort()
 
     def _drop(self) -> None:
         """Terminate on error: legacy closes immediately (observable!),
@@ -177,11 +182,20 @@ class _VmessSession:
     def _connect_failed(self) -> None:
         if self.state != "connecting":
             return
+        if self._connect_timer is not None:
+            self._connect_timer.cancel()
+        if (self.remote is not None and not self.remote.reset_received
+                and self.remote.state != "CLOSED"):
+            self.remote.abort()
         self.state = "done"
         self._idle.cancel()
         self.conn.close()
 
     def _connected(self) -> None:
+        if self.state != "connecting":
+            # The dial failed or the client left while it was pending.
+            self.remote.abort()
+            return
         self._connect_timer.cancel()
         self.state = "proxy"
         # Body ciphers: one per direction, keyed from the request header

@@ -7,10 +7,14 @@ must be indistinguishable from the originals kept in
 and arbitrary chunked-vs-whole call patterns, through both the direct
 classes and the ``new_aead``/``new_stream_cipher`` factories.  Pinned
 examples add the sizes random draws never reach: lane and block edges,
-the largest AEAD chunk, ChaCha20 batches of 511 and 513 blocks, and one
-block either side of the AES sliced cut.  Batched AEAD seals (one
-keystream call for several records) are compared record by record, and
-so is the Shadowsocks wire an ``AeadEncryptor`` writes.
+the largest AEAD chunk, one block either side of the AES sliced cut, and
+ChaCha20 batches either side of its lane cut (the row-packed loop at
+``LANE_MIN_BLOCKS - 1`` blocks, the lane-packed loop at
+``LANE_MIN_BLOCKS``).  ChaCha20 batches of 511 and 513 blocks sat either
+side of a numpy cut that is gone; they now run the lane loop at bulk
+size.  Batched AEAD seals (one keystream call for several records) are
+compared record by record, and so is the Shadowsocks wire an
+``AeadEncryptor`` writes.
 """
 
 import contextlib
@@ -42,7 +46,7 @@ from repro.crypto import (
 )
 from repro.crypto import recordcache
 from repro.crypto.aes import AES, SLICED_MIN_BLOCKS
-from repro.crypto.chacha20 import _keystream
+from repro.crypto.chacha20 import LANE_MIN_BLOCKS, _keystream
 from repro.shadowsocks.aead_session import MAX_CHUNK, AeadEncryptor, aead_master_key
 
 from .. import crypto_reference as ref
@@ -78,11 +82,16 @@ def _message(size):
 
 
 # ChaCha20 sizes random ``messages`` never reach: one block and a byte
-# either side, the largest AEAD chunk (0x3FFF), and batches of 511 and
-# 513 blocks.  ``extra_blocks`` is what the cipher adds to the message's
-# blocks: an AEAD record's Poly1305 key takes one.
+# either side, the largest AEAD chunk (0x3FFF), one batch either side of
+# the lane cut (the row loop below, the lane loop at the cut), and
+# batches of 511 and 513 blocks (the lane loop at bulk size; they sat
+# either side of a numpy cut that is gone).  ``extra_blocks`` is what
+# the cipher adds to the message's blocks: an AEAD record's Poly1305 key
+# takes one.
 def _edge_sizes(extra_blocks=0):
     return (0, 1, 63, 64, 65, 0x3FFF,
+            64 * (LANE_MIN_BLOCKS - 1 - extra_blocks),
+            64 * (LANE_MIN_BLOCKS - extra_blocks),
             64 * (511 - extra_blocks), 64 * (513 - extra_blocks))
 
 
@@ -169,7 +178,7 @@ def test_chacha20_djb_matches_reference_chunked(key, nonce, data, fractions):
     assert fast == slow
 
 
-@pytest.mark.parametrize("nblocks", [5, 513])
+@pytest.mark.parametrize("nblocks", [5, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 513])
 def test_chacha20_ietf_counter_wraps_like_reference(nblocks):
     """Word 12 wraps modulo 2^32 inside one batch."""
     key, nonce = bytes(range(32)), bytes(range(12))
@@ -179,7 +188,7 @@ def test_chacha20_ietf_counter_wraps_like_reference(nblocks):
             == ref.ReferenceChaCha20(key, nonce, counter=counter).process(data))
 
 
-@pytest.mark.parametrize("nblocks", [4, 513])
+@pytest.mark.parametrize("nblocks", [4, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 513])
 def test_chacha20_djb_counter_carries_into_word_13(nblocks):
     """The DJB variant's 64-bit counter carries from word 12 into 13."""
     key, nonce = bytes(range(32)), bytes(range(8))
@@ -188,6 +197,31 @@ def test_chacha20_djb_counter_carries_into_word_13(nblocks):
     expected = b"".join(ref._chacha20_block_djb(key, counter + i, nonce)
                         for i in range(nblocks))
     tails = ChaCha20DJB(key, nonce)._tails(counter, nblocks)
+    assert _keystream(init, tails) == expected
+
+
+words32 = st.integers(min_value=0, max_value=2**32 - 1) | st.sampled_from(
+    (0, 2**32 - 1))
+
+
+def _mixed_tails(nblocks):
+    """Words 12-15 that differ in every block and word, with 2^32-1 words."""
+    return [(i, 2**32 - 1, (i * 0x9E3779B9) & 0xFFFFFFFF, 2**32 - 1 - i)
+            for i in range(nblocks)]
+
+
+@given(key=keys256, tails=st.lists(st.tuples(words32, words32, words32, words32),
+                                   min_size=1, max_size=2 * LANE_MIN_BLOCKS))
+@example(key=bytes(range(32)), tails=_mixed_tails(LANE_MIN_BLOCKS - 1))
+@example(key=bytes(range(32)), tails=_mixed_tails(LANE_MIN_BLOCKS))
+@settings(max_examples=30, deadline=None)
+def test_keystream_matches_reference_blocks(key, tails):
+    """Each block of one ``_keystream`` call, on both sides of the lane
+    cut, is the reference block of its own words 12-15: the tails mix
+    nonces, so a block read from another block's lane or another word's
+    segment fails."""
+    init = [*ref._CONSTANTS, *struct.unpack("<8L", key)]
+    expected = b"".join(ref._run_rounds([*init, *tail]) for tail in tails)
     assert _keystream(init, tails) == expected
 
 
@@ -260,6 +294,13 @@ record_sizes = st.integers(min_value=0, max_value=0x3FFF) | st.sampled_from(
 @given(key=keys256, start=st.sampled_from(NONCE_STARTS),
        sizes=st.lists(record_sizes, min_size=1, max_size=6),
        aad=st.binary(max_size=40))
+# Two records under consecutive nonces across a word-13 carry, in one
+# keystream call of LANE_MIN_BLOCKS - 1 and of LANE_MIN_BLOCKS blocks
+# (each record adds its Poly1305 key block).
+@example(key=bytes(range(32)), start=2**32 - 1,
+         sizes=[2, 64 * (LANE_MIN_BLOCKS - 4)], aad=b"aad")
+@example(key=bytes(range(32)), start=2**32 - 1,
+         sizes=[2, 64 * (LANE_MIN_BLOCKS - 3)], aad=b"aad")
 @settings(max_examples=15, deadline=None)
 def test_seal_records_matches_reference(fast_cls, slow_cls, key, start, sizes, aad):
     records = [((start + i).to_bytes(12, "little"), _message(size))

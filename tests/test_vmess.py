@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net import Host, Network, Simulator
+from repro.net import Flags, Host, Network, Simulator
 from repro.vmess import (
     AUTH_WINDOW,
     VmessClient,
@@ -117,6 +117,41 @@ def test_wrong_user_id_rejected():
     sim.run(until=20)
     assert session.reset  # legacy server aborts on bad auth
     assert not session.reply
+
+
+def test_late_upstream_syn_ack_is_reset_not_proxied():
+    """The target's SYN/ACK arrives after the 6 s connect timer: the
+    client gets FIN/ACK, and the late upstream connection is reset."""
+    sim, net, server, client, (server_host, _, _) = make_world()
+    web_ip = net.resolve("site.example")
+    net.set_latency(server_host.ip, web_ip, 4.0)  # SYN/ACK after 8 s
+    session = client.open(web_ip, 80, b"GET / HTTP/1.1\r\n\r\n")
+    sim.run(until=60)
+    assert session.closed and not session.reset and not session.reply
+    upstream = server.sessions[0].remote
+    assert upstream.reset_sent and upstream.state == "CLOSED"
+
+
+def test_client_reset_while_dialing_aborts_upstream():
+    sim, net, server, client, (server_host, _, _) = make_world()
+    web_ip = net.resolve("site.example")
+    net.set_latency(server_host.ip, web_ip, 4.0)
+    session = client.open(web_ip, 80, b"GET / HTTP/1.1\r\n\r\n")
+    sim.schedule(1.0, session.conn.abort)
+    sim.run(until=60)
+    proxied = server.sessions[0]
+    assert proxied.state == "done"
+    assert proxied.remote.reset_sent and proxied.remote.state == "CLOSED"
+
+
+def test_unresolvable_target_closes_after_resolver_delay():
+    sim, net, server, client, (server_host, _, _) = make_world()
+    session = client.open("nowhere.example", 80, b"GET /")
+    sim.run(until=20)
+    assert session.closed and not session.reset and not session.reply
+    request = next(r for r in server_host.capture.received() if r.segment.is_data)
+    fin = next(r for r in server_host.capture.sent() if r.segment.flags & Flags.FIN)
+    assert fin.time - request.time == pytest.approx(0.05)
 
 
 # ----------------------------------------------------------- probing holes
