@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint typecheck bench bench-smoke bench-perf bench-cold clean
+.PHONY: test lint typecheck bench bench-smoke bench-perf bench-cold figures clean
 
 test:                ## tier-1 suite (unit + integration + property)
 	$(PYTHON) -m pytest tests/ -x -q
@@ -43,6 +43,17 @@ bench-perf:
 # in benchmarks/baselines/bench_cold.json.
 bench-cold:
 	$(PYTHON) benchmarks/cold_floors.py
+
+# The paper's figures, tables and ablations (29 benchmarks, timing off),
+# every example script (stops at the first that fails), then a check
+# that the committed renditions under benchmarks/output/ match the run.
+figures:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
+	for script in examples/*.py; do \
+	    echo "== $$script"; \
+	    $(PYTHON) "$$script" || exit 1; \
+	done
+	git diff --exit-code -- benchmarks/output/
 
 clean:
 	rm -rf runs benchmarks/output/runs .pytest_cache .hypothesis

@@ -33,7 +33,7 @@ def run_variant(gated: bool, seed: int):
             original(ip, port, payload, protocol=protocol)
             if state.stage == 1:
                 state.stage = 2
-                scheduler._enter_stage2(state)
+                scheduler.behavior_for(state.protocol)._enter_stage2(state)
 
         scheduler.on_flagged_connection = ungated
 

@@ -15,7 +15,6 @@ import tempfile
 
 from repro.analysis import (
     cluster_tsval_sequences,
-    extract_probes,
     ip_id_statistics,
     port_statistics,
     render_table,

@@ -1,21 +1,21 @@
 """Measurement-side probe classification (the method behind §3.2).
 
-Given a server-side packet capture and the set of the experimenter's own
-client endpoints, reconstruct which inbound connections were probes and
-type them R1–R6 / NR1–NR3 by diffing their first payload against the
-recorded legitimate payloads — exactly how the paper's authors decided
-"replay with byte 0 changed" etc.
+A probe's first payload is typed R1–R6 / NR1–NR3 by diffing it against
+the recorded legitimate payloads — exactly how the paper's authors
+decided "replay with byte 0 changed" etc.
+:class:`~repro.analysis.pipeline.CaptureProbeClassifier` streams a
+server capture, picks out the connections that did not come from the
+experimenter's own clients, and types them with :func:`classify_payload`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..gfw.probes import NR1_LENGTHS, NR2_LENGTH, NR3_LENGTHS, ProbeType
-from ..net.capture import Capture
 
-__all__ = ["ObservedProbe", "classify_payload", "extract_probes"]
+__all__ = ["ObservedProbe", "classify_payload"]
 
 # Offset-set signatures for the byte-changed replay types.
 _SIGNATURES: List[Tuple[str, Set[int]]] = [
@@ -41,10 +41,6 @@ class ObservedProbe:
     syn_tsval: Optional[int] = None
     syn_ttl: Optional[int] = None
 
-    @property
-    def is_replay(self) -> bool:
-        return self.probe_type.startswith("R")
-
 
 def classify_payload(payload: bytes,
                      legit_payloads: Sequence[bytes]) -> Tuple[str, Optional[bytes]]:
@@ -68,54 +64,3 @@ def classify_payload(payload: bytes,
         return ProbeType.NR3, None
     return "UNKNOWN", None
 
-
-def extract_probes(
-    capture: Capture,
-    server_port: int,
-    client_ips: Iterable[str],
-    legit_payloads: Optional[Sequence[bytes]] = None,
-) -> List[ObservedProbe]:
-    """Pull probe connections out of a server-side capture.
-
-    A probe is any inbound connection to ``server_port`` from an address
-    other than the experimenter's own clients.  ``legit_payloads``
-    defaults to the first payloads the clients themselves sent.
-    """
-    clients = set(client_ips)
-    if legit_payloads is None:
-        legit_payloads = [
-            bytes(rec.segment.payload)
-            for rec in capture.received()
-            if rec.segment.is_data
-            and rec.segment.dst_port == server_port
-            and rec.segment.src_ip in clients
-        ]
-    # Collect per-connection SYN metadata and first payload.
-    syn_meta: Dict[Tuple[str, int], Tuple[float, Optional[int], Optional[int]]] = {}
-    first_payload: Dict[Tuple[str, int], Tuple[float, bytes]] = {}
-    for rec in capture.received():
-        seg = rec.segment
-        if seg.dst_port != server_port or seg.src_ip in clients:
-            continue
-        key = (seg.src_ip, seg.src_port)
-        if seg.is_syn and key not in syn_meta:
-            syn_meta[key] = (rec.time, seg.tsval, seg.ttl)
-        elif seg.is_data and key not in first_payload:
-            first_payload[key] = (rec.time, bytes(seg.payload))
-
-    probes: List[ObservedProbe] = []
-    for key, (time, payload) in sorted(first_payload.items(), key=lambda kv: kv[1][0]):
-        probe_type, matched = classify_payload(payload, legit_payloads)
-        meta = syn_meta.get(key)
-        probes.append(ObservedProbe(
-            time=time,
-            src_ip=key[0],
-            src_port=key[1],
-            dst_port=server_port,
-            payload=payload,
-            probe_type=probe_type,
-            matched_payload=matched,
-            syn_tsval=meta[1] if meta else None,
-            syn_ttl=meta[2] if meta else None,
-        ))
-    return probes

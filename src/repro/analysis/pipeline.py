@@ -39,16 +39,16 @@ flow shards back into one pipeline instead of shipping raw captures,
 and ``python -m repro analyze`` re-finalizes a cached run without
 re-simulating anything.
 
-The batch functions (:func:`~repro.analysis.classify.extract_probes`
-and friends) remain as thin verification wrappers; the property tests
-assert the streaming outputs are byte-identical to them.
+The batch twins of these analyzers (the capture-buffering
+``extract_probes`` and the ``*_batch`` summarizers) live with the
+property tests as oracles, which assert the streaming outputs are
+byte-identical to them.
 """
 
 from __future__ import annotations
 
 import base64
 import inspect
-import random
 from typing import (
     Any,
     Callable,
@@ -66,7 +66,6 @@ from typing import (
 
 from .classify import ObservedProbe, classify_payload
 from .fingerprint import cluster_tsval_sequences, port_statistics
-from .overlap import PAPER_FIG4_REGIONS, synthesize_historical_sets, venn3
 from .stats import ECDF
 
 __all__ = [
@@ -77,7 +76,6 @@ __all__ = [
     "EcdfAnalyzer",
     "FlaggedConnections",
     "FlowCensus",
-    "OverlapAnalyzer",
     "ProbeBlockDelays",
     "ProbeSynTimes",
     "ProbeTally",
@@ -782,9 +780,8 @@ class CaptureProbeClassifier(Analyzer):
     payloads the experiment's own clients sent, plus per-foreign-
     connection SYN metadata and first data payload.  Classification is
     deferred to ``finalize`` so every probe is diffed against the same
-    ground-truth set the batch :func:`~repro.analysis.classify.
-    extract_probes` would see — byte-identical output without buffering
-    the capture.
+    ground-truth set a pass over the buffered capture would see —
+    byte-identical output without buffering the capture.
     """
 
     kind = "capture_probes"
@@ -1002,59 +999,6 @@ class EcdfAnalyzer(Analyzer):
             "max": ecdf.max,
             "quantiles": {f"{q:g}": ecdf.quantile(q) for q in self.quantiles},
         }
-
-
-@register_analyzer
-class OverlapAnalyzer(Analyzer):
-    """Figure 4: the prober-IP set, optionally Venn'd against history.
-
-    Collects distinct probe source addresses in first-seen order.  With
-    ``synthesize=True`` and enough addresses to plant the overlaps,
-    ``finalize`` regenerates the historical (Dunna, Ensafi) sets from
-    the configured region counts and reports the Venn regions.
-    """
-
-    kind = "overlap"
-    state_fields = ("ips",)
-
-    def __init__(self, synthesize: bool = False, seed: int = 0,
-                 regions: Optional[Mapping[str, int]] = None) -> None:
-        self.synthesize = bool(synthesize)
-        self.seed = int(seed)
-        self.regions = dict(regions) if regions else None
-        self.ips: List[str] = []
-        self._seen: Set[str] = set()
-
-    def observe(self, event: Mapping[str, Any]) -> None:
-        if event.get("kind") != "probe":
-            return
-        ip = event["src_ip"]
-        if ip not in self._seen:
-            self._seen.add(ip)
-            self.ips.append(ip)
-
-    def merge(self, other: Analyzer) -> None:
-        self._check_mergeable(other)
-        assert isinstance(other, OverlapAnalyzer)
-        for ip in other.ips:
-            if ip not in self._seen:
-                self._seen.add(ip)
-                self.ips.append(ip)
-
-    def finalize(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"unique_ips": len(self.ips)}
-        if self.synthesize:
-            regions = dict(self.regions or PAPER_FIG4_REGIONS)
-            need = regions["ss_d"] + regions["ss_e"] + regions["ss_d_e"]
-            if len(self.ips) >= need:
-                dunna, ensafi = synthesize_historical_sets(
-                    self.ips, random.Random(self.seed), regions)
-                out["venn"] = venn3(set(self.ips), dunna, ensafi)
-        return out
-
-    def load_state(self, state: Mapping[str, Any]) -> None:
-        super().load_state(state)
-        self._seen = set(self.ips)
 
 
 @register_analyzer

@@ -119,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detectors", default=None, metavar="SPEC",
                    help="in-path detector-stage spec (bare kind or JSON); "
                         "default: the paper's passive classifier")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="split the censor into N disjoint flow-space "
-                        "sensors: the same workload runs once per shard "
-                        "and each shard's GFW only tracks the flows it "
-                        "owns (demonstrates the flow partitioner)")
 
     p = sub.add_parser("probesim", help="probe a server model (Figure 10 row)")
     p.add_argument("--profile", default="ss-libev-3.1.3")
@@ -434,30 +429,6 @@ def _cmd_quickstart(args) -> int:
                               profile=args.profile, method=args.method,
                               loss=args.loss, reorder=args.reorder)
     detectors = _parse_detectors(args.detectors)
-
-    if args.shards is not None:
-        if args.shards < 1:
-            print(f"error: --shards must be >= 1, got {args.shards}",
-                  file=sys.stderr)
-            return 2
-        # The same deterministic workload replays once per shard; each
-        # shard's censor only tracks the flows whose seed-stable flow_key
-        # hashes to it, so the tracked-flow counts sum to the serial run's.
-        total_tracked = total_flagged = total_probes = 0
-        for index in range(args.shards):
-            world = quickstart_world(params, detectors=detectors,
-                                     shard=(index, args.shards))
-            tracked = world.gfw.inspected_connections
-            flagged = world.gfw.flagged_connections
-            probes = len(world.gfw.probe_log)
-            print(f"shard {index}/{args.shards}: tracked={tracked:<5} "
-                  f"flagged={flagged:<5} probes={probes}")
-            total_tracked += tracked
-            total_flagged += flagged
-            total_probes += probes
-        print(f"total over {args.shards} shard(s): tracked={total_tracked}  "
-              f"flagged={total_flagged}  probes={total_probes}")
-        return 0
 
     world = quickstart_world(params, detectors=detectors)
     print(f"connections: {args.connections}  flagged: "

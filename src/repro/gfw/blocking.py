@@ -169,15 +169,6 @@ class BlockingModule:
             return True
         return port is not None and (ip, port) in self._blocked_ports
 
-    def should_drop(self, seg) -> bool:
-        """Unidirectional null-routing: drop the server->client direction.
-
-        Runs once per segment at the firewall, so the :meth:`is_blocked`
-        delegation is inlined (two dict membership probes).
-        """
-        return (seg.src_ip in self._blocked_ips
-                or (seg.src_ip, seg.src_port) in self._blocked_ports)
-
     @property
     def blocked_count(self) -> int:
         return len(self._blocked_ips) + len(self._blocked_ports)

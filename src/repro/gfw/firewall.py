@@ -22,9 +22,8 @@ counter emissions, same probe schedule.
 from __future__ import annotations
 
 import random
-from typing import Any, List, Mapping, Optional, Tuple, Union
+from typing import Any, List, Mapping, Optional, Union
 
-from ..net.capture import Capture
 from ..net.host import Host
 from ..net.ipaddr import ip_to_int, parse_cidr
 from ..net.network import Middlebox, Network
@@ -63,10 +62,8 @@ class GreatFirewall(Middlebox):
         fleet_config: Optional[FleetConfig] = None,
         blocking_policy: Optional[BlockingPolicy] = None,
         probe_behaviors: Optional[Mapping[str, Any]] = None,
-        flow_idle_timeout: Optional[float] = None,
         max_flows: int = 1 << 18,
         inside_cache_max: int = 1 << 16,
-        shard: Optional[Tuple[int, int]] = None,
     ):
         self.sim = sim
         self.network = network
@@ -121,7 +118,8 @@ class GreatFirewall(Middlebox):
         # Fused per-segment blocking probe: alias the blocking module's
         # tables (stable dict attributes, mutated in place and never
         # rebound), so the drop check is two dict-membership tests rather
-        # than two delegating calls.
+        # than two delegating calls.  Blocking is unidirectional null
+        # routing: only segments *from* a blocked IP or (IP, port) drop.
         self._blocked_ips = self.reactions.blocking._blocked_ips
         self._blocked_ports = self.reactions.blocking._blocked_ports
 
@@ -132,17 +130,10 @@ class GreatFirewall(Middlebox):
         self._pair_cache_ver = -1
 
         # Sensor layer: the flow table owns connection state + hygiene.
-        # ``shard`` makes this censor one of N disjoint sensors over the
-        # flow space (see repro.runtime.sharding).
-        self.flow_table = FlowTable(sim, idle_timeout=flow_idle_timeout,
-                                    max_flows=max_flows, shard=shard)
+        self.flow_table = FlowTable(sim, max_flows=max_flows)
         self.flow_table.on_first_initiator_data = self._first_initiator_data
         self.flow_table.on_first_responder_data = self._first_responder_data
         self.inside_cache_max = inside_cache_max
-        # Off by default: long experiments would otherwise accumulate
-        # millions of records.  Enable for debugging.
-        self.capture = Capture()
-        self.capture.enabled = False
         self.flagged_connections = 0
         self.dropped_segments = 0
         # Hook for tests/experiments: called on every flag decision.
@@ -223,11 +214,6 @@ class GreatFirewall(Middlebox):
             interesting = self._interesting(seg.src_ip, seg.dst_ip)
         if not interesting:
             return [seg]
-        # The GFW capture is disabled by default; skip the call outright
-        # rather than paying ``record``'s own early-out per segment.
-        capture = self.capture
-        if capture.enabled:
-            capture.record(seg, self.sim.now, sent=False)
         self.flow_table.track_keyed(seg, self._conn_key(seg),
                                     reliable=self.network.reliable)
         return [seg]
@@ -262,16 +248,11 @@ class GreatFirewall(Middlebox):
         track_keyed = self.flow_table.track_keyed
         key = self._conn_key(first)
         reliable = self.network.reliable
-        capture = self.capture
-        record = capture.record if capture.enabled else None
-        now = self.sim.now
         for seg in segs:
             if seg.src_ip in bips or (seg.src_ip, seg.src_port) in bports:
                 self.dropped_segments += 1
                 bus.incr("gfw.segment.dropped")
                 continue
-            if record is not None:
-                record(seg, now, sent=False)
             track_keyed(seg, key, reliable=reliable)
             forwarded.append(seg)
         return forwarded

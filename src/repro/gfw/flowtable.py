@@ -11,9 +11,10 @@ The table owns
   inspects) and the first responder data (evidence the endpoint serves
   *something*), surfaced through the ``on_first_initiator_data`` /
   ``on_first_responder_data`` callbacks the orchestrator installs;
-* **hygiene** — the amortized idle sweep, the hard count cap that
-  reclaims the least-recently-seen quartile, and the flag-dedup window
-  that stops a retransmitted SYN from re-flagging one connection;
+* **hygiene** — the hard count cap that reclaims the
+  least-recently-seen quartile, and the flag-dedup window that stops a
+  retransmitted SYN from re-flagging one connection (its stale records
+  are pruned by an amortized sweep);
 * **per-flow detector scratch state** — :attr:`FlowState.scratch`, a
   lazily allocated dict detector stages may use for stateful
   per-connection features without growing the core flow record.
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..net.packet import Flags, Segment
-from ..runtime.sharding import flow_key, shard_of
 
 __all__ = ["FlowKey", "FlowState", "FlowTable"]
 
@@ -66,37 +66,22 @@ class FlowState:
 class FlowTable:
     """Flow creation, eviction, and flag dedup for the censor's sensor."""
 
-    # Amortization period (in tracked segments) for the idle-flow sweep.
+    # Amortization period (in tracked segments) for the flag-record sweep.
     EVICTION_SWEEP_INTERVAL = 4096
 
     def __init__(
         self,
         sim,
         *,
-        idle_timeout: Optional[float] = None,
         max_flows: int = 1 << 18,
         flag_dedup_window: float = 60.0,
-        shard: Optional[Tuple[int, int]] = None,
     ):
         self.sim = sim
         self.flows: Dict[FlowKey, FlowState] = {}
-        # Flow-space partition: ``(index, count)`` makes this table one
-        # of ``count`` disjoint sensors — it silently ignores new flows
-        # whose seed-stable ``flow_key`` hashes to another shard (the
-        # same keying the runner's unit partitioner uses, so both layers
-        # always agree on who owns a flow).  ``None`` tracks everything.
-        if shard is not None:
-            index, count = shard
-            if not 0 <= index < count:
-                raise ValueError(f"shard index {index} not in [0, {count})")
-        self.shard = shard
         # Flow-table hygiene: flows that never see FIN/RST (SYN scans,
         # NR probes, half-open connections) must not accumulate forever
         # on multi-week runs.  ``max_flows`` is a hard count cap (the
-        # oldest quartile is reclaimed when it is hit); setting
-        # ``idle_timeout`` (seconds) additionally sweeps flows idle
-        # longer than that, amortized over tracked segments.
-        self.idle_timeout = idle_timeout
+        # oldest quartile is reclaimed when it is hit).
         self.max_flows = max_flows
         self.flag_dedup_window = flag_dedup_window
         # Replay/retransmission hardening: connection keys whose feature
@@ -159,10 +144,6 @@ class FlowTable:
         flow = self.flows.get(key)
         if flow is None:
             if flags & _SYN_ACK_MASK == Flags.SYN:
-                if (self.shard is not None
-                        and shard_of(flow_key(*key), self.shard[1])
-                        != self.shard[0]):
-                    return
                 if len(self.flows) >= self.max_flows:
                     self.evict_oldest()
                 self.flows[key] = FlowState(
@@ -211,21 +192,12 @@ class FlowTable:
     # -------------------------------------------------------------- hygiene
 
     def sweep(self, now: float) -> None:
-        """Reclaim flows idle past the timeout (and stale flag records)."""
+        """Drop flag records older than the dedup window."""
         if self._flagged_recently:
             stale = [k for k, t in self._flagged_recently.items()
                      if now - t > self.flag_dedup_window]
             for k in stale:
                 del self._flagged_recently[k]
-        if self.idle_timeout is None:
-            return
-        idle = [k for k, f in self.flows.items()
-                if now - f.last_seen > self.idle_timeout]
-        for k in idle:
-            del self.flows[k]
-        if idle:
-            self.evicted += len(idle)
-            self.sim.bus.incr("gfw.flow.evicted", len(idle))
 
     def evict_oldest(self) -> None:
         """Hard cap: reclaim the least-recently-seen quartile of the table."""

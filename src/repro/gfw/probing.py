@@ -86,10 +86,6 @@ class ProbeBehavior:
         return self.scheduler.rng
 
     @property
-    def forge(self):
-        return self.scheduler.forge
-
-    @property
     def sim(self):
         return self.scheduler.sim
 

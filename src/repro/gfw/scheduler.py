@@ -187,9 +187,3 @@ class ProbeScheduler:
         state.note_reaction(record)
         self.behavior_for(state.protocol).on_result(state, record)
         self.on_probe_result(state, record)
-
-    # -------------------------------------------- back-compat escape hatches
-
-    def _enter_stage2(self, state: ServerProbeState) -> None:
-        """Fire the Shadowsocks stage-2 burst directly (ablation hook)."""
-        self.behavior_for(state.protocol)._enter_stage2(state)

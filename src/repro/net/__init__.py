@@ -8,7 +8,7 @@ from .impairment import Impairment
 from .ipaddr import in_cidr, int_to_ip, ip_to_int, parse_cidr, random_ip_in
 from .network import Middlebox, Network
 from .packet import Flags, Segment
-from .pcapfile import export_capture, packet_to_segment, read_pcap, segment_to_packet, write_pcap
+from .pcapfile import export_capture, segment_to_packet, write_pcap
 from .sim import Event, Simulator
 from .tcp import TcpConnection, TcpState
 
@@ -37,10 +37,8 @@ __all__ = [
     "int_to_ip",
     "ip_to_int",
     "lookup_asn",
-    "packet_to_segment",
     "parse_cidr",
     "random_ip_in",
-    "read_pcap",
     "segment_to_packet",
     "write_pcap",
 ]

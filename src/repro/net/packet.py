@@ -8,10 +8,9 @@ the TCP timestamp option (TSval/TSecr).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
-__all__ = ["Flags", "Segment", "SegmentBurst",
-           "flag_words", "seqs", "lengths", "payloads"]
+__all__ = ["Flags", "Segment", "SegmentBurst", "flag_words", "lengths"]
 
 
 class Flags:
@@ -22,15 +21,6 @@ class Flags:
     RST = 0x04
     PSH = 0x08
     ACK = 0x10
-
-    @staticmethod
-    def render(flags: int) -> str:
-        names = []
-        for bit, name in ((0x02, "SYN"), (0x10, "ACK"), (0x08, "PSH"),
-                          (0x01, "FIN"), (0x04, "RST")):
-            if flags & bit:
-                names.append(name)
-        return "/".join(names) if names else "-"
 
 
 @dataclass(slots=True)
@@ -130,44 +120,22 @@ class Segment:
         """Direction-insensitive connection key."""
         return tuple(sorted((self.flow(), self.reverse_flow())))
 
-    def __repr__(self) -> str:  # compact, capture-log friendly
-        return (
-            f"<{self.src_ip}:{self.src_port} > {self.dst_ip}:{self.dst_port} "
-            f"[{Flags.render(self.flags)}] seq={self.seq} ack={self.ack} "
-            f"len={len(self.payload)} win={self.window} ttl={self.ttl}>"
-        )
-
 
 _SEGMENT_FIELDS = frozenset(Segment.__dataclass_fields__)
 
 
-# -------------------------------------------------- struct-of-arrays views
-#
-# Column views over any segment sequence.  The batched datapath classifies
-# a burst by scanning these flat lists (C-speed comprehensions) instead of
-# re-touching each Segment object per predicate; SegmentBurst's methods
-# delegate here so producers (transmit bursts) and consumers (the
-# receive-side classifier in Host.deliver_burst/TcpConnection.handle_burst)
-# share one definition.
+# Column views over a segment run: the receive-side classifier
+# (TcpConnection.handle_burst) scans these flat lists instead of
+# re-touching each Segment object per predicate.
 
 def flag_words(segs) -> List[int]:
     """Flag words of a segment run, in order."""
     return [seg.flags for seg in segs]
 
 
-def seqs(segs) -> List[int]:
-    """Sequence numbers of a segment run, in order."""
-    return [seg.seq for seg in segs]
-
-
 def lengths(segs) -> List[int]:
     """Payload lengths of a segment run, in order."""
     return [len(seg.payload) for seg in segs]
-
-
-def payloads(segs) -> List[bytes]:
-    """Payloads of a segment run, in order."""
-    return [seg.payload for seg in segs]
 
 
 class SegmentBurst:
@@ -176,58 +144,14 @@ class SegmentBurst:
     Endpoints emit one burst per flow per event (e.g. every MSS chunk a
     TCP pump produces in one callback); the network routes the burst
     through the middlebox chain and schedules a single delivery event for
-    it.  The shared path scalars (the directional 4-tuple) live once on
-    the burst; ``seqs``/``lengths``/``flag_words``/``payloads`` are lazy
-    struct-of-arrays views over the member segments for vector-style
-    consumers (detector features, benchmarks).
-
-    Segments are stored in emission order, which the whole datapath
+    it.  Segments are stored in emission order, which the whole datapath
     preserves — burst processing is byte-identical to per-segment
     processing.
     """
 
-    __slots__ = ("src_ip", "dst_ip", "src_port", "dst_port", "segments")
+    __slots__ = ("segments",)
 
     def __init__(self, segments: List[Segment]):
         if not segments:
             raise ValueError("a SegmentBurst needs at least one segment")
-        first = segments[0]
-        self.src_ip = first.src_ip
-        self.dst_ip = first.dst_ip
-        self.src_port = first.src_port
-        self.dst_port = first.dst_port
         self.segments = segments
-
-    def append(self, seg: Segment) -> None:
-        self.segments.append(seg)
-
-    def flow(self):
-        """The shared direction-sensitive flow 4-tuple."""
-        return (self.src_ip, self.src_port, self.dst_ip, self.dst_port)
-
-    # ------------------------------------------------ struct-of-arrays views
-
-    def seqs(self) -> List[int]:
-        return seqs(self.segments)
-
-    def lengths(self) -> List[int]:
-        return lengths(self.segments)
-
-    def flag_words(self) -> List[int]:
-        return flag_words(self.segments)
-
-    def payloads(self) -> List[bytes]:
-        return payloads(self.segments)
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
-
-    def __getitem__(self, index):
-        return self.segments[index]
-
-    def __repr__(self) -> str:
-        return (f"<burst {self.src_ip}:{self.src_port} > "
-                f"{self.dst_ip}:{self.dst_port} n={len(self.segments)}>")

@@ -1,4 +1,4 @@
-"""Export captures to (and re-import from) real libpcap files.
+"""Export captures to real libpcap files.
 
 Segments are serialized as IPv4+TCP packets (LINKTYPE_RAW), with correct
 header checksums and the TCP timestamp option when present, so a capture
@@ -9,13 +9,13 @@ inspecting what the GFW's probes actually look like on the wire.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Tuple
+from typing import Iterable
 
 from .capture import Capture, CaptureRecord
-from .ipaddr import int_to_ip, ip_to_int
-from .packet import Flags, Segment
+from .ipaddr import ip_to_int
+from .packet import Segment
 
-__all__ = ["segment_to_packet", "packet_to_segment", "write_pcap", "read_pcap"]
+__all__ = ["segment_to_packet", "write_pcap", "export_capture"]
 
 _PCAP_MAGIC = 0xA1B2C3D4
 _LINKTYPE_RAW = 101  # raw IPv4/IPv6
@@ -68,50 +68,6 @@ def segment_to_packet(seg: Segment) -> bytes:
     return ip_header + tcp_header + seg.payload
 
 
-def packet_to_segment(packet: bytes, timestamp: float = 0.0) -> Segment:
-    """Parse an IPv4+TCP packet back into a Segment."""
-    if len(packet) < 40:
-        raise ValueError("packet too short for IPv4+TCP")
-    version_ihl = packet[0]
-    if version_ihl >> 4 != 4:
-        raise ValueError("not an IPv4 packet")
-    ihl = (version_ihl & 0x0F) * 4
-    total_len, ip_id = struct.unpack(">HH", packet[2:6])
-    ttl, proto = packet[8], packet[9]
-    if proto != _TCP_PROTO:
-        raise ValueError(f"not TCP (protocol {proto})")
-    src_ip = int_to_ip(struct.unpack(">I", packet[12:16])[0])
-    dst_ip = int_to_ip(struct.unpack(">I", packet[16:20])[0])
-
-    tcp = packet[ihl:total_len]
-    src_port, dst_port, seq, ack = struct.unpack(">HHII", tcp[:12])
-    data_offset = (tcp[12] >> 4) * 4
-    flags = tcp[13] & 0x3F
-    window = struct.unpack(">H", tcp[14:16])[0]
-    tsval = tsecr = None
-    options = tcp[20:data_offset]
-    i = 0
-    while i < len(options):
-        kind = options[i]
-        if kind == 0:
-            break
-        if kind == 1:
-            i += 1
-            continue
-        if i + 1 >= len(options):
-            break
-        length = options[i + 1]
-        if kind == 8 and length == 10:
-            tsval, tsecr = struct.unpack(">II", options[i + 2 : i + 10])
-        i += max(length, 2)
-    return Segment(
-        src_ip=src_ip, dst_ip=dst_ip, src_port=src_port, dst_port=dst_port,
-        flags=flags, seq=seq, ack=ack, payload=tcp[data_offset:],
-        window=window, ttl=ttl, ip_id=ip_id, tsval=tsval,
-        tsecr=tsecr if tsval is not None else None, timestamp=timestamp,
-    )
-
-
 def write_pcap(path, records: Iterable[CaptureRecord]) -> int:
     """Write capture records to a pcap file; returns the packet count."""
     count = 0
@@ -127,30 +83,6 @@ def write_pcap(path, records: Iterable[CaptureRecord]) -> int:
             f.write(packet)
             count += 1
     return count
-
-
-def read_pcap(path) -> List[Tuple[float, Segment]]:
-    """Read a pcap file written by :func:`write_pcap`."""
-    out: List[Tuple[float, Segment]] = []
-    with open(path, "rb") as f:
-        header = f.read(24)
-        if len(header) < 24:
-            raise ValueError("truncated pcap header")
-        magic = struct.unpack(">I", header[:4])[0]
-        if magic != _PCAP_MAGIC:
-            raise ValueError(f"bad pcap magic {magic:#x}")
-        linktype = struct.unpack(">I", header[20:24])[0]
-        if linktype != _LINKTYPE_RAW:
-            raise ValueError(f"unsupported linktype {linktype}")
-        while True:
-            rec_header = f.read(16)
-            if len(rec_header) < 16:
-                break
-            seconds, micros, caplen, _ = struct.unpack(">IIII", rec_header)
-            packet = f.read(caplen)
-            time = seconds + micros / 1_000_000
-            out.append((time, packet_to_segment(packet, time)))
-    return out
 
 
 def export_capture(path, capture: Capture, received_only: bool = False) -> int:

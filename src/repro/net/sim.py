@@ -10,10 +10,11 @@ workloads: a dict of exact-timestamp buckets (each bucket a FIFO list of
 events) plus a min-heap of the distinct timestamps.  Scheduling into an
 existing bucket — the overwhelmingly common case on the datapath, where
 a whole burst of deliveries lands on one ``now + latency`` instant — is
-a single dict lookup and list append, O(1) with no heap traffic and no
-``Event.__lt__`` comparisons.  Because the scheduling counter is
-monotonic, append order within a bucket *is* (time, seq) order, so the
-execution order is identical to the classic heapq implementation.
+a single dict lookup and list append, O(1) with no heap traffic; the
+heap holds plain floats, so events are never compared.  Because the
+scheduling counter is monotonic, append order within a bucket *is*
+(time, seq) order, so the execution order is identical to the classic
+heapq implementation.
 """
 
 from __future__ import annotations
@@ -36,31 +37,11 @@ class Event:
     counts delivered segments, however they were grouped into bursts.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "consumed",
-                 "weight", "_sim")
-
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple,
-                 weight: int = 1):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        # Set once the callback has run: a late ``cancel()`` (e.g. a TCP
-        # endpoint tearing down a retransmission timer whose RTO already
-        # fired) must not decrement the live-event count a second time.
-        self.consumed = False
-        self.weight = weight
-        self._sim = None
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "weight")
 
     def cancel(self) -> None:
-        if not self.cancelled and not self.consumed:
-            self.cancelled = True
-            if self._sim is not None:
-                self._sim._live -= 1
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        """Skip the callback if it has not run yet (a no-op after)."""
+        self.cancelled = True
 
 
 class Simulator:
@@ -76,11 +57,6 @@ class Simulator:
         self._times: list = []
         self._cursor = 0
         self._counter = itertools.count()
-        self._processed = 0
-        # Live (scheduled, not-yet-cancelled, not-yet-run) event count,
-        # maintained incrementally so ``pending`` is O(1) instead of a
-        # full queue scan per call.
-        self._live = 0
         # The instrumentation bus: any component holding the simulator can
         # emit typed counters/samples without further plumbing.
         self.bus = bus if bus is not None else EventBus()
@@ -104,10 +80,7 @@ class Simulator:
         event.fn = fn
         event.args = args
         event.cancelled = False
-        event.consumed = False
         event.weight = weight
-        event._sim = self
-        self._live += 1
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [event]
@@ -131,7 +104,6 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
         next(self._counter)
-        self._live += 1
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [(weight, fn, arg)]
@@ -139,15 +111,10 @@ class Simulator:
         else:
             bucket.append((weight, fn, arg))
 
-    def at(self, time: float, fn: Callable, *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at an absolute simulation time."""
-        return self.schedule(time - self.now, fn, *args)
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Process events until the queue drains or ``until`` is reached.
 
-        Returns the number of callbacks processed by *this* call (the
-        lifetime total stays available as :attr:`processed`).  The
+        Returns the number of callbacks processed by this call.  The
         ``sim.events`` bus counter advances by the *weighted* total, so
         a burst counts one event per segment it carries.
         """
@@ -180,18 +147,14 @@ class Simulator:
                 self._cursor = i
                 if type(event) is tuple:
                     # Fire-and-forget entry from ``schedule_fire``.
-                    self._live -= 1
                     event[1](event[2])
                     weighted += event[0]
                 else:
                     if event.cancelled:
                         continue
-                    event.consumed = True
-                    self._live -= 1
                     event.fn(*event.args)
                     weighted += event.weight
                 processed += 1
-                self._processed += 1
                 if max_events is not None and processed >= max_events:
                     stop = True
                     break
@@ -226,22 +189,18 @@ class Simulator:
             self._cursor = 0
         return None
 
-    def run_until_idle(self, max_events: Optional[int] = None) -> int:
-        """Drain the event queue completely; return events processed.
-
-        Unlike ``run(until=...)`` there is no time horizon: the loop stops
-        only when nothing is scheduled (or ``max_events`` is hit), which is
-        the right call for workloads whose duration depends on data volume
-        rather than wall-clock schedules (e.g. a bulk transfer through a
-        one-byte receive window).
-        """
-        return self.run(until=None, max_events=max_events)
-
     @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._live
+        """Number of queued events not yet run or cancelled.
 
-    @property
-    def processed(self) -> int:
-        return self._processed
+        A scan of the queue: every bucket from its start, except the
+        head bucket, whose consumed prefix ends at ``_cursor``.
+        """
+        head = self._times[0] if self._times else None
+        live = 0
+        for t, bucket in self._buckets.items():
+            for i in range(self._cursor if t == head else 0, len(bucket)):
+                e = bucket[i]
+                if type(e) is tuple or not e.cancelled:
+                    live += 1
+        return live

@@ -84,7 +84,7 @@ class TcpConnection:
         "fin_received", "fin_sent_first", "reset_received", "reset_sent",
         "timed_out", "bytes_received", "bytes_sent", "retransmits",
         "on_connected", "on_data", "on_remote_fin", "on_reset", "on_closed",
-        "on_data_run", "_grb",
+        "_grb",
     )
 
     MSS = 1400
@@ -182,14 +182,6 @@ class TcpConnection:
         # ``_randbelow`` delegation.
         self._grb = (host.rng.getrandbits
                      if type(host.rng) is random.Random else None)
-        # Opt-in burst delivery: when set, the batched receive path hands
-        # an in-order data run to the app as ONE call with the list of
-        # payloads instead of one ``on_data`` per segment (the ACKs are
-        # still emitted per segment, so the wire trace is unchanged).
-        # Only safe for apps whose data handler makes no host RNG draws
-        # and emits nothing mid-run — e.g. a client draining replies into
-        # a buffer, or a record layer batch-opening ciphertext chunks.
-        self.on_data_run: Optional[Callable[[List[bytes]], None]] = None
 
     # ------------------------------------------------------------------ util
 
@@ -603,9 +595,7 @@ class TcpConnection:
         Emits one cumulative ACK per segment with the identical field
         values and RNG draws the per-segment path produces (they leave
         as one coalesced return burst when the host's transmit batch
-        flushes), then hands payloads to the app — per segment via
-        ``on_data``, or as one concatenated run via ``on_data_run`` when
-        the app opted in.
+        flushes), then hands each payload to the app's ``on_data``.
         """
         seq_mask = _SEQ_MASK
         ack_bit = Flags.ACK
@@ -635,8 +625,6 @@ class TcpConnection:
         now = host.sim.now
         tsval_now = int(host._tsval_offset
                         + host.tsval_rate * now) & 0xFFFFFFFF
-        on_run = self.on_data_run
-        chunks: Optional[List[bytes]] = [] if on_run is not None else None
         k = i
         while k < j:
             seg = segs[k]
@@ -686,14 +674,9 @@ class TcpConnection:
             else:
                 host.network.send_segment(ack)
             k += 1
-            if chunks is not None:
-                chunks.append(seg.payload)
-            else:
-                self.on_data(seg.payload)
-                if not self._burst_quiescent():
-                    break
-        if chunks is not None:
-            on_run(chunks)
+            self.on_data(seg.payload)
+            if not self._burst_quiescent():
+                break
         return k
 
     # ------------------------------------------ sequence-checked receive

@@ -69,10 +69,6 @@ class ProxyProtocol:
         """Attach this protocol's client to ``host``, aimed at a server."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """One-line human-readable summary (CLI listings)."""
-        return self.kind
-
 
 _PROTOCOLS: Dict[str, Callable[..., ProxyProtocol]] = {}
 

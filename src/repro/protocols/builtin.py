@@ -47,9 +47,6 @@ class ShadowsocksProtocol(ProxyProtocol):
         return ShadowsocksClient(host, server_ip, server_port, self.password,
                                  self.method, rng=rng, **kwargs)
 
-    def describe(self) -> str:
-        return f"shadowsocks ({self.method}, {self.profile})"
-
 
 @register_protocol
 class VmessProtocol(ProxyProtocol):
@@ -87,9 +84,6 @@ class VmessProtocol(ProxyProtocol):
         return VmessClient(host, server_ip, server_port, self.user_id_bytes,
                            rng=rng, **kwargs)
 
-    def describe(self) -> str:
-        return f"vmess ({self.profile})"
-
 
 @register_protocol
 class ObfsProtocol(ProxyProtocol):
@@ -124,6 +118,3 @@ class ObfsProtocol(ProxyProtocol):
 
         return ObfsClient(host, server_ip, server_port, self.node_id,
                           profile=self.profile, rng=rng, **kwargs)
-
-    def describe(self) -> str:
-        return f"obfs ({self.profile})"

@@ -130,17 +130,15 @@ class _QuickstartResult:
     connections: int
 
 
-def quickstart_world(params: QuickstartConfig, *, detectors: Any = None,
-                     shard: Optional[Tuple[int, int]] = None) -> World:
+def quickstart_world(params: QuickstartConfig, *,
+                     detectors: Any = None) -> World:
     """Build the quickstart world and run its workload to completion.
 
     One client tunnels ``params.connections`` fetches through a
     Shadowsocks server while the censor watches.  ``detectors`` (a
-    detector-stage spec) and ``shard`` (``(index, count)``, see
-    :func:`~repro.runtime.topology.build_world`) are the CLI's
-    ``--detectors`` and ``--shards``; they stay out of
+    detector-stage spec) is the CLI's ``--detectors``; it stays out of
     :class:`QuickstartConfig`, so the registered scenario's params and
-    its golden digest do not depend on them.
+    its golden digest do not depend on it.
     """
     impairment = Impairment(loss=params.loss, reorder=params.reorder)
     world = build_world(
@@ -148,8 +146,7 @@ def quickstart_world(params: QuickstartConfig, *, detectors: Any = None,
         detector_config=DetectorConfig(base_rate=0.9),
         detectors=detectors,
         websites=["example.com", "gfw.report"],
-        impairment=impairment if impairment.active else None,
-        shard=shard)
+        impairment=impairment if impairment.active else None)
     server_host = world.add_server("ss-server", region="uk")
     client_host = world.add_client("client")
     proto = build_protocol({"kind": "shadowsocks", "password": "pw",

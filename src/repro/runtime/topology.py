@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..gfw import (
     BlockingPolicy,
@@ -140,7 +140,6 @@ def build_world(
     websites: Optional[List[str]] = None,
     impairment: Optional[Impairment] = None,
     stream_captures: bool = True,
-    shard: Optional[Tuple[int, int]] = None,
 ) -> World:
     """Build a bordered world with a GFW on the path.
 
@@ -152,12 +151,6 @@ def build_world(
     ``probe_behaviors`` maps protocol names to probing-behaviour specs
     (see :mod:`repro.gfw.probing`), overriding the playbook the censor
     runs against flagged flows classified as that protocol.
-
-    ``shard=(index, count)`` makes this world's censor one of ``count``
-    disjoint sensors over the flow space: its flow table only admits
-    border-crossing connections whose seed-stable
-    :func:`~repro.runtime.sharding.flow_key` hashes to ``index``
-    (see :mod:`repro.runtime.sharding`).
 
     ``impairment`` attaches a network-wide fault profile (loss,
     reordering, duplication, jitter, flaps); an inactive (all-zero)
@@ -187,7 +180,6 @@ def build_world(
         fleet_config=fleet_config,
         blocking_policy=blocking_policy,
         probe_behaviors=probe_behaviors,
-        shard=shard,
     )
     world = World(sim=sim, net=net, gfw=gfw, rng=rng,
                   stream_captures=stream_captures)

@@ -14,7 +14,7 @@ manager folds them in on completion.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 __all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
@@ -132,9 +132,6 @@ class MetricsRegistry:
             return existing
         self._metrics[metric.name] = metric
         return metric
-
-    def get(self, name: str) -> Optional[_Metric]:
-        return self._metrics.get(name)
 
     def render(self) -> str:
         """The full registry in the Prometheus text exposition format."""

@@ -150,15 +150,3 @@ class AeadDecryptor:
         """Convenience: feed + join all chunks decryptable so far."""
         self.feed(data)
         return b"".join(self.decrypt_available())
-
-    def decrypt_run(self, chunks: List[bytes]) -> bytes:
-        """Burst entry: feed a run of wire segments, decrypt once.
-
-        Record boundaries are protocol-level (length-prefixed), not
-        segment-level, so feeding the concatenation and draining the
-        buffer once is byte-identical to per-segment ``decrypt`` calls —
-        same records, same nonce sequence, same final buffer state —
-        while the whole run pays one buffering/drain pass.
-        """
-        self.feed(b"".join(chunks))
-        return b"".join(self.decrypt_available())

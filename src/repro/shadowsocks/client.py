@@ -80,13 +80,6 @@ class ClientSession:
         self.conn = client.host.connect(client.server_ip, client.server_port)
         self.conn.on_connected = lambda: self._send_handshake(payload)
         self.conn.on_data = self._on_data
-        if on_reply is None:
-            # Burst receive: with no reply observer, the partitioning of
-            # decrypt calls is unobservable (record boundaries are
-            # protocol-level), so a whole in-order run may decrypt in
-            # one pass.  With an observer the per-segment path keeps
-            # the historical callback granularity.
-            self.conn.on_data_run = self._on_data_run
         self.conn.on_remote_fin = self._on_fin
         self.conn.on_reset = self._on_reset
 
@@ -117,15 +110,6 @@ class ClientSession:
         if plaintext:
             self.reply.extend(plaintext)
             self.on_reply(plaintext)
-
-    def _on_data_run(self, chunks) -> None:
-        try:
-            plaintext = self._decryptor.decrypt_run(chunks)
-        except AuthenticationError:
-            self.conn.abort()
-            return
-        if plaintext:
-            self.reply.extend(plaintext)
 
     def _on_fin(self) -> None:
         self.closed = True

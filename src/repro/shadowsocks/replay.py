@@ -78,7 +78,3 @@ class TimedReplayFilter:
     def restart(self) -> None:
         """A restart does not help the attacker: staleness still rejects."""
         self._nonces.clear()
-
-    @property
-    def tracked(self) -> int:
-        return len(self._nonces)

@@ -90,12 +90,3 @@ class StreamDecryptor:
         chunk = bytes(self._buffer)
         self._buffer.clear()
         return self._cipher.decrypt(chunk)
-
-    def decrypt_run(self, chunks) -> bytes:
-        """Burst entry: decrypt a run of wire segments in one pass.
-
-        Stream ciphers are position-keyed, so decrypting the
-        concatenation equals concatenating per-segment decrypts; one
-        call amortizes the IV/buffer bookkeeping over the run.
-        """
-        return self.decrypt(b"".join(chunks))

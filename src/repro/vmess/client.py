@@ -58,11 +58,6 @@ class VmessSession:
             self.reply.extend(plain)
             self.on_reply(plain)
 
-        def on_data_run(chunks):
-            # CFB decryption is position-keyed: decrypting the run's
-            # concatenation equals per-segment decrypts back to back.
-            self.reply.extend(self._response_cipher.decrypt(b"".join(chunks)))
-
         def on_fin():
             self.closed = True
             self.conn.close()
@@ -73,10 +68,6 @@ class VmessSession:
 
         self.conn.on_connected = on_connected
         self.conn.on_data = on_data
-        if on_reply is None:
-            # No reply observer: decrypt whole in-order runs in one pass
-            # (see ShadowsocksClient.ClientSession for the contract).
-            self.conn.on_data_run = on_data_run
         self.conn.on_remote_fin = on_fin
         self.conn.on_reset = on_reset
 

@@ -88,19 +88,24 @@ class _VmessSession:
     # ----------------------------------------------------------- lifecycle
 
     def _idle_close(self) -> None:
-        if self.state not in ("done",):
+        if self.state != "done":
+            self._close_remote()
             self.state = "done"
             self.conn.close()
 
     def _client_fin(self) -> None:
+        self._close_remote()
+        self.state = "done"
+        self.conn.close()
+        self._idle.cancel()
+
+    def _close_remote(self) -> None:
+        """Tear the upstream down: FIN it if open, abort a pending dial."""
         if self.remote is not None:
             if self.remote.is_open:
                 self.remote.close()
             elif self.state == "connecting":
                 self.remote.abort()
-        self.state = "done"
-        self.conn.close()
-        self._idle.cancel()
 
     def _client_reset(self) -> None:
         if self.remote is not None and (self.remote.is_open
@@ -205,9 +210,14 @@ class _VmessSession:
                                         self.request.response_iv, encrypt=True)
         self._body_decipher = CFBMode(self.request.response_key,
                                       self.request.response_iv, encrypt=False)
-        self.remote.on_data = lambda data: self.conn.send(
-            self._response_cipher.encrypt(data))
+        self.remote.on_data = self._upstream_data
         self.remote.on_remote_fin = self._client_fin
         if self.buffer:
             self.remote.send(self._body_decipher.decrypt(bytes(self.buffer)))
             self.buffer.clear()
+
+    def _upstream_data(self, data: bytes) -> None:
+        # Once the session is done the client connection is closing or
+        # closed: the target's late data has nowhere to go.
+        if self.state == "proxy":
+            self.conn.send(self._response_cipher.encrypt(data))

@@ -4,7 +4,6 @@ from .browser import BrowserDriver, CurlDriver
 from .httpgen import SITES, http_get_request, site_request, tls_client_hello
 from .payloads import (
     alphabet_size_for_entropy,
-    expected_entropy,
     payload_with_entropy,
     random_payload,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "SITES",
     "SinkServer",
     "alphabet_size_for_entropy",
-    "expected_entropy",
     "http_get_request",
     "payload_with_entropy",
     "random_payload",

@@ -9,7 +9,6 @@ to the target entropy for non-trivial lengths.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional
 
@@ -55,8 +54,3 @@ def payload_with_entropy(length: int, target_bits: float,
         for i, symbol in enumerate(alphabet):
             data[(i * 7919) % length] = symbol
     return bytes(data)
-
-
-def expected_entropy(target_bits: float) -> float:
-    """The entropy the generator actually converges to (exact alphabet)."""
-    return math.log2(alphabet_size_for_entropy(target_bits))

@@ -37,14 +37,7 @@ class SinkServer:
         def on_data(data: bytes) -> None:
             self.bytes_received += len(data)
 
-        def on_data_run(chunks) -> None:
-            for chunk in chunks:
-                self.bytes_received += len(chunk)
-
         conn.on_data = on_data
-        # Counting bytes never sends or closes, so whole in-order runs
-        # may be consumed in one callback.
-        conn.on_data_run = on_data_run
         conn.on_remote_fin = conn.close
         self.host.sim.schedule(self.CLOSE_AFTER, self._reap, conn)
 

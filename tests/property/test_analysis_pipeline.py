@@ -12,13 +12,13 @@ Two invariants anchor the refactor:
 """
 
 import random
-from typing import Dict
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import extract_probes
+from repro.analysis import ObservedProbe, classify_payload
 from repro.analysis.pipeline import series
 from repro.gfw import DetectorConfig
 from repro.probesim import ProberSimulator
@@ -128,6 +128,59 @@ BATCH_SUMMARIZERS = {
     "brdgrd": _summarize_brdgrd_batch,
     "blocking": _summarize_blocking_batch,
 }
+
+
+def extract_probes(
+    capture,
+    server_port: int,
+    client_ips: Iterable[str],
+    legit_payloads: Optional[Sequence[bytes]] = None,
+) -> List[ObservedProbe]:
+    """Pull probe connections out of a buffered server-side capture.
+
+    A probe is any inbound connection to ``server_port`` from an address
+    other than the experimenter's own clients.  ``legit_payloads``
+    defaults to the first payloads the clients themselves sent.  The
+    batch twin of :class:`~repro.analysis.pipeline.CaptureProbeClassifier`.
+    """
+    clients = set(client_ips)
+    if legit_payloads is None:
+        legit_payloads = [
+            bytes(rec.segment.payload)
+            for rec in capture.received()
+            if rec.segment.is_data
+            and rec.segment.dst_port == server_port
+            and rec.segment.src_ip in clients
+        ]
+    # Collect per-connection SYN metadata and first payload.
+    syn_meta: Dict[Tuple[str, int], Tuple[float, Optional[int], Optional[int]]] = {}
+    first_payload: Dict[Tuple[str, int], Tuple[float, bytes]] = {}
+    for rec in capture.received():
+        seg = rec.segment
+        if seg.dst_port != server_port or seg.src_ip in clients:
+            continue
+        key = (seg.src_ip, seg.src_port)
+        if seg.is_syn and key not in syn_meta:
+            syn_meta[key] = (rec.time, seg.tsval, seg.ttl)
+        elif seg.is_data and key not in first_payload:
+            first_payload[key] = (rec.time, bytes(seg.payload))
+
+    probes: List[ObservedProbe] = []
+    for key, (time, payload) in sorted(first_payload.items(), key=lambda kv: kv[1][0]):
+        probe_type, matched = classify_payload(payload, legit_payloads)
+        meta = syn_meta.get(key)
+        probes.append(ObservedProbe(
+            time=time,
+            src_ip=key[0],
+            src_port=key[1],
+            dst_port=server_port,
+            payload=payload,
+            probe_type=probe_type,
+            matched_payload=matched,
+            syn_tsval=meta[1] if meta else None,
+            syn_ttl=meta[2] if meta else None,
+        ))
+    return probes
 
 
 def _build(name, seed, extra=None):

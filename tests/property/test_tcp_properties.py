@@ -61,7 +61,7 @@ def test_all_bytes_delivered_in_order(writes, window, seed):
     conn.on_connected = send_all
     # No wall-clock bound: a window-1 receiver drains one MSS per RTT, so
     # large blobs legitimately need arbitrarily long.  Run to quiescence.
-    sim.run_until_idle()
+    sim.run()
     assert bytes(received) == blob
 
 

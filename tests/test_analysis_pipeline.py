@@ -9,7 +9,6 @@ from repro.analysis.pipeline import (
     Analyzer,
     EcdfAnalyzer,
     FlaggedConnections,
-    OverlapAnalyzer,
     ProbeSynTimes,
     ProbeTally,
     ProberFingerprint,
@@ -94,9 +93,6 @@ ROUND_TRIP_CONFIGS = {
     "ecdf": {"event": "probe", "field": "delay", "quantiles": [0.5, 0.9]},
     "fingerprint": {"rates": [250.0, 1000.0]},
     "flow_census": {"bins": 4},
-    "overlap": {"synthesize": True, "seed": 3,
-                "regions": {"ss_only": 1, "d_only": 2, "e_only": 2, "ss_d": 1,
-                            "ss_e": 1, "d_e": 1, "ss_d_e": 1}},
     "probe_syn_times": {"client_ip": CLIENT_IP, "duration": 7200.0,
                         "windows": [[0.0, 3600.0]]},
     "random_data": {"bins": 4},
@@ -111,8 +107,7 @@ def test_registry_covers_builtin_analyzers():
     kinds = analyzer_kinds()
     for kind in ("probe_tally", "flagged_connections", "replay_delays",
                  "block_events", "syn_count", "probe_syn_times",
-                 "capture_probes", "random_data", "ecdf", "overlap",
-                 "fingerprint"):
+                 "capture_probes", "random_data", "ecdf", "fingerprint"):
         assert kind in kinds
 
 
@@ -167,7 +162,7 @@ def test_split_observe_then_merge_equals_single_pass():
     events = [probe_event(i, probe_type=("replay" if i % 3 else "rand"),
                           delay=float(i) * 0.5) for i in range(30)]
     for kind in ("probe_tally", "replay_delays", "random_data", "ecdf",
-                 "overlap", "fingerprint"):
+                 "fingerprint"):
         whole = build_analyzer(kind)
         left, right = build_analyzer(kind), build_analyzer(kind)
         for event in events:
@@ -203,14 +198,6 @@ def test_ecdf_analyzer_quantiles():
     assert out["count"] == 100
     assert out["min"] == 1.0 and out["max"] == 100.0
     assert 49.0 <= out["quantiles"]["0.5"] <= 51.0
-
-
-def test_overlap_analyzer_orders_first_seen():
-    a = OverlapAnalyzer()
-    for ip in ("1.1.1.1", "2.2.2.2", "1.1.1.1", "3.3.3.3"):
-        a.observe({"kind": "probe", "src_ip": ip})
-    assert a.ips == ["1.1.1.1", "2.2.2.2", "3.3.3.3"]
-    assert a.finalize()["unique_ips"] == 3
 
 
 def test_fingerprint_analyzer_clusters_rates():

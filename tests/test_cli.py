@@ -210,14 +210,6 @@ def test_run_shards_non_shardable_scenario(capsys):
     assert "scale-1m" in err           # the error lists the alternatives
 
 
-def test_quickstart_shards_partition_the_workload(capsys):
-    assert main(["quickstart", "--connections", "6", "--seed", "3",
-                 "--shards", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "shard 0/2" in out and "shard 1/2" in out
-    assert "total over 2 shard(s): tracked=6" in out
-
-
 def test_bench_shard_suite(tmp_path, capsys):
     import json
 

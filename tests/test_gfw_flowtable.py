@@ -1,4 +1,4 @@
-"""FlowTable eviction invariants: idle sweep, count cap, flag dedup."""
+"""FlowTable eviction invariants: count cap, flag dedup and its sweep."""
 
 from repro.gfw import FlowTable
 from repro.net import Flags, Segment, Simulator
@@ -79,31 +79,22 @@ def test_first_responder_data_fires_once():
     assert responders == [("198.51.100.1", 80)]
 
 
-def test_idle_sweep_reclaims_only_stale_flows():
-    sim, table = make_table(idle_timeout=30.0)
-    table.track(syn(0))
-    sim.now = 100.0
-    table.track(syn(1))
-    table.sweep(sim.now)
-    assert len(table) == 1
-    assert syn(1).conn_key() in table
-    assert table.evicted == 1
-    assert sim.bus.count("gfw.flow.evicted") == 1
-
-
 def test_idle_sweep_amortized_over_track_calls():
-    sim, table = make_table(idle_timeout=30.0)
-    table.track(syn(0))
+    sim, table = make_table()
+    key = syn(0).conn_key()
+    table.note_flagged(key, now=0.0)
     sim.now = 1000.0
-    # One shy of the sweep interval: the idle flow must still be there.
-    table._track_calls = FlowTable.EVICTION_SWEEP_INTERVAL - 1
+    # The (interval-1)-th tracked segment: the stale record survives.
+    table._track_calls = FlowTable.EVICTION_SWEEP_INTERVAL - 2
     table.track(syn(1))
-    assert len(table) == 1
-    assert syn(1).conn_key() in table
+    assert key in table._flagged_recently
+    # The interval-th tracked segment sweeps it.
+    table.track(syn(2))
+    assert key not in table._flagged_recently
 
 
 def test_no_idle_sweep_without_timeout():
-    sim, table = make_table()          # idle_timeout=None
+    sim, table = make_table()
     table.track(syn(0))
     sim.now = 1e9
     table.sweep(sim.now)
@@ -130,9 +121,8 @@ def test_count_cap_evicts_least_recently_seen_quartile():
 
 
 def test_count_cap_independent_of_idle_sweep():
-    # The cap fires on admission even when no idle timeout is set, and
-    # the idle sweep never runs below the timeout even at the cap.
-    sim, table = make_table(max_flows=4, idle_timeout=None)
+    # The cap fires on admission; the sweep never reclaims flows.
+    sim, table = make_table(max_flows=4)
     for i in range(5):
         sim.now = float(i)
         table.track(syn(i))
@@ -150,7 +140,7 @@ def test_flag_dedup_window_expires():
 
 
 def test_sweep_drops_stale_flag_records_even_without_idle_timeout():
-    sim, table = make_table()          # idle_timeout=None
+    sim, table = make_table()
     key = syn(0).conn_key()
     table.note_flagged(key, now=0.0)
     table.sweep(now=1000.0)
@@ -166,79 +156,6 @@ def test_scratchpad_lazy_and_persistent():
     pad["hits"] = 3
     assert flow.scratchpad() is pad
     assert flow.scratch == {"hits": 3}
-
-
-def test_shard_validation_rejects_bad_index():
-    import pytest
-
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        FlowTable(sim, shard=(2, 2))
-    with pytest.raises(ValueError):
-        FlowTable(sim, shard=(-1, 2))
-
-
-def test_shard_admission_filter_partitions_new_flows():
-    """A sharded table silently ignores SYNs owned by other shards."""
-    from repro.runtime.sharding import flow_key, shard_of
-
-    count = 3
-    sims_tables = [make_table(shard=(index, count)) for index in range(count)]
-    for i in range(60):
-        for _sim, table in sims_tables:
-            table.track(syn(i))
-    total = 0
-    for index, (sim, table) in enumerate(sims_tables):
-        for key in table.flows:
-            assert shard_of(flow_key(*key), count) == index
-        assert table.opened == len(table)
-        assert sim.bus.count("gfw.flow.opened") == table.opened
-        total += len(table)
-    assert total == 60                   # disjoint cover of the flow space
-
-
-def test_sharded_table_equals_global_table_restricted_to_partition():
-    """Shard filter == pre-filtering the segment stream (cap + LRS + sweep).
-
-    Feeding *all* traffic through a sharded table must leave exactly the
-    state of an unsharded table (same cap, same idle timeout) that only
-    ever saw the shard's own segments — including which flows the count
-    cap's least-recently-seen eviction reclaimed and what the idle sweep
-    did.
-    """
-    from repro.runtime.sharding import flow_key, shard_of
-
-    count = 2
-    for index in range(count):
-        sim_a, sharded = make_table(shard=(index, count), max_flows=4,
-                                    idle_timeout=30.0)
-        sim_b, plain = make_table(max_flows=4, idle_timeout=30.0)
-        def owned(seg, index=index):
-            return shard_of(flow_key(*seg.conn_key()), count) == index
-        for i in range(24):
-            now = float(i)
-            sim_a.now = sim_b.now = now
-            segments = [syn(i), data(i, b"feature")]
-            if i % 3 == 0:
-                segments.append(fin(i))
-            for seg in segments:
-                sharded.track(seg)
-                if owned(seg):
-                    plain.track(seg)
-            if i == 12:                   # idle sweep fires on both
-                sim_a.now = sim_b.now = now + 100.0
-                sharded.sweep(sim_a.now)
-                plain.sweep(sim_b.now)
-        assert set(sharded.flows) == set(plain.flows)
-        assert ({k: f.last_seen for k, f in sharded.flows.items()}
-                == {k: f.last_seen for k, f in plain.flows.items()})
-        assert sharded.opened == plain.opened
-        assert sharded.evicted == plain.evicted
-        assert (sim_a.bus.count("gfw.flow.opened")
-                == sim_b.bus.count("gfw.flow.opened"))
-        assert (sim_a.bus.count("gfw.flow.evicted")
-                == sim_b.bus.count("gfw.flow.evicted"))
-        assert plain.evicted > 0          # the cap actually fired
 
 
 def test_firewall_inside_cache_cap_is_separate_hygiene():

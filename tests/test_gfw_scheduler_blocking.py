@@ -8,6 +8,7 @@ from repro.gfw import (
     BlockingModule,
     BlockingPolicy,
     FleetConfig,
+    GreatFirewall,
     ProbeForge,
     ProbeScheduler,
     ProbeType,
@@ -236,14 +237,16 @@ def test_blocking_by_ip_vs_port():
 
 def test_blocking_should_drop_is_unidirectional():
     sim = Simulator()
-    module = BlockingModule(sim, rng=random.Random(4))
-    module.block("5.5.5.5", 443, by_ip=False)
+    net = Network(sim)
+    gfw = GreatFirewall(sim, net, ["1.1.1.0/24"])
+    gfw.blocking.block("5.5.5.5", 443, by_ip=False)
     from_server = Segment(src_ip="5.5.5.5", dst_ip="1.1.1.1", src_port=443,
                           dst_port=999, flags=Flags.ACK)
     to_server = Segment(src_ip="1.1.1.1", dst_ip="5.5.5.5", src_port=999,
                         dst_port=443, flags=Flags.ACK)
-    assert module.should_drop(from_server)
-    assert not module.should_drop(to_server)
+    assert gfw.process(from_server, net) == []
+    assert gfw.process(to_server, net) == [to_server]
+    assert gfw.dropped_segments == 1
 
 
 def test_unblock_lapses_without_recheck():

@@ -9,11 +9,10 @@ from repro.net.capture import CaptureRecord
 from repro.net.pcapfile import (
     _checksum,
     export_capture,
-    packet_to_segment,
-    read_pcap,
     segment_to_packet,
     write_pcap,
 )
+from .net_reference import packet_to_segment, read_pcap
 
 
 def sample_segment(**over):

@@ -65,14 +65,6 @@ def test_negative_delay_rejected():
         sim.schedule(-1.0, lambda: None)
 
 
-def test_absolute_scheduling():
-    sim = Simulator(start_time=100.0)
-    hits = []
-    sim.at(105.0, hits.append, "x")
-    sim.run()
-    assert hits == ["x"] and sim.now == 105.0
-
-
 def test_run_returns_processed_event_count():
     sim = Simulator()
     for t in (1.0, 2.0, 3.0):
@@ -100,9 +92,9 @@ def test_run_until_idle_drains_everything():
             sim.schedule(100.0, recur, n - 1)
 
     sim.schedule(0.0, recur, 5)
-    assert sim.run_until_idle() == 6
+    assert sim.run() == 6
     assert hits == [0.0, 100.0, 200.0, 300.0, 400.0, 500.0]
-    assert sim.run_until_idle() == 0
+    assert sim.run() == 0
 
 
 def test_run_until_idle_respects_max_events():
@@ -112,7 +104,7 @@ def test_run_until_idle_respects_max_events():
         sim.schedule(1.0, forever)
 
     sim.schedule(0.0, forever)
-    assert sim.run_until_idle(max_events=10) == 10
+    assert sim.run(max_events=10) == 10
 
 
 def test_simulator_counts_events_on_bus():

@@ -76,7 +76,7 @@ def test_bulk_transfer_survives_heavy_loss():
     conn = client.connect("10.0.0.2", 81)
     payload = bytes(range(256)) * 40  # several MSS worth
     conn.on_connected = lambda: (conn.send(payload), conn.close())
-    sim.run_until_idle()
+    sim.run()
     assert apps and bytes(apps[0].data) == payload
     assert conn.retransmits > 0
     assert sim.bus.count("tcp.retransmit") > 0
@@ -108,7 +108,7 @@ def test_reordered_segments_reassembled_in_order():
     conn = client.connect("10.0.0.2", 80)
     payload = bytes(i & 0xFF for i in range(20_000))
     conn.on_connected = lambda: (conn.send(payload), conn.close())
-    sim.run_until_idle()
+    sim.run()
     assert apps and bytes(apps[0].data) == payload
     assert sim.bus.count("tcp.ooo.buffered") > 0
 
@@ -138,7 +138,7 @@ def test_fin_is_retransmitted_until_acked():
     server.listen(80, lambda c: apps.append(Collector(c)))
     conn = client.connect("10.0.0.2", 80)
     conn.on_connected = lambda: (conn.send(b"bye"), conn.close())
-    sim.run_until_idle()
+    sim.run()
     assert apps and bytes(apps[0].data) == b"bye"
     assert apps[0].conn.fin_received
     assert conn.state == TcpState.CLOSED
@@ -154,7 +154,7 @@ def test_impaired_transfer_is_deterministic():
         conn = client.connect("10.0.0.2", 80)
         payload = bytes(7 * i & 0xFF for i in range(8000))
         conn.on_connected = lambda: (conn.send(payload), conn.close())
-        sim.run_until_idle()
+        sim.run()
         return (bytes(apps[0].data), conn.retransmits,
                 dict(sim.bus.counters))
 

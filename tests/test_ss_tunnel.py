@@ -1,8 +1,10 @@
 """End-to-end tunnel: client -> Shadowsocks server -> target, and back."""
 
+import random
+
 import pytest
 
-from repro.net import Host, Network, Simulator
+from repro.net import Host, Network, Simulator, TcpConnection
 from repro.shadowsocks import ShadowsocksClient, ShadowsocksServer
 
 
@@ -44,6 +46,33 @@ def test_roundtrip_by_ip(method, profile):
     session = client.open("203.0.113.80", 80, b"GET / HTTP/1.1\r\n\r\n")
     sim.run(until=30)
     assert bytes(session.reply) == b"HTTP/1.1 200 OK\r\n\r\nhello from target"
+
+
+@pytest.mark.parametrize("method,profile", [
+    ("chacha20-ietf-poly1305", "outline-1.0.7"),
+    ("aes-256-ctr", "ss-libev-3.3.1"),
+])
+def test_burst_reply_to_client_without_observer(method, profile, monkeypatch):
+    """A multi-segment reply burst reaches a client that passes no
+    ``on_reply``: every payload of the run goes through ``on_data``."""
+    body = random.Random(7).randbytes(6000)
+    sim, net, client, server, (_, _, target_host) = build_world(method, profile)
+    target_host.listen(81, lambda conn: setattr(
+        conn, "on_data", lambda data: conn.send(body)))
+    session = client.open("203.0.113.80", 81, b"GET /big")
+    client_runs = []
+    handle_burst = TcpConnection.handle_burst
+
+    def spy(conn, segs):
+        consumed = handle_burst(conn, segs)
+        if conn is session.conn:
+            client_runs.append(sum(1 for seg in segs[:consumed] if seg.payload))
+        return consumed
+
+    monkeypatch.setattr(TcpConnection, "handle_burst", spy)
+    sim.run(until=30)
+    assert bytes(session.reply) == body
+    assert max(client_runs, default=0) >= 2
 
 
 def test_roundtrip_by_hostname():

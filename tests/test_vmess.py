@@ -154,6 +154,38 @@ def test_unresolvable_target_closes_after_resolver_delay():
     assert fin.time - request.time == pytest.approx(0.05)
 
 
+def test_idle_timer_closes_both_legs():
+    """The idle timer fires 300 s after accept whatever the traffic: it
+    closes the client leg and FINs the upstream, and the target's later
+    data is dropped instead of sent on the closed client connection."""
+    sim = Simulator()
+    net = Network(sim)
+    server_host = Host(sim, net, "198.51.100.30", "vmess-server")
+    client_host = Host(sim, net, "192.0.2.30", "vmess-client")
+    web = Host(sim, net, "198.18.0.30", "web")
+
+    def ticker(conn):
+        def tick():
+            conn.send(b"tick-tock")
+            sim.schedule(100.0, tick)
+
+        conn.on_data = lambda data: sim.schedule(100.0, tick)
+
+    web.listen(80, ticker)
+    server = VmessServer(server_host, 10086, USER_ID, rng=random.Random(1))
+    client = VmessClient(client_host, server_host.ip, 10086, USER_ID,
+                         rng=random.Random(2))
+    session = client.open(web.ip, 80, b"GET /")
+    sim.run(until=301)
+    proxied = server.sessions[0]
+    assert proxied.conn.state == "CLOSED" and not proxied.conn.is_open
+    assert proxied.remote.fin_sent_first and not proxied.remote.is_open
+    assert session.closed and not session.reset
+    assert bytes(session.reply) == b"tick-tock" * 2
+    sim.run(until=700)
+    assert bytes(session.reply) == b"tick-tock" * 2
+
+
 # ----------------------------------------------------------- probing holes
 
 
