@@ -11,7 +11,7 @@ experimenter's own clients, and types them with :func:`classify_payload`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..gfw.probes import NR1_LENGTHS, NR2_LENGTH, NR3_LENGTHS, ProbeType
 
@@ -25,6 +25,9 @@ _SIGNATURES: List[Tuple[str, Set[int]]] = [
     (ProbeType.R5, {6, 16}),
     (ProbeType.R6, set(range(16, 33))),
 ]
+# Every signature offset is below this, so a replay matches its
+# original from this offset on.
+_SIGNED_BYTES = 1 + max(max(signature) for _, signature in _SIGNATURES)
 
 
 @dataclass
@@ -44,14 +47,16 @@ class ObservedProbe:
 
 def classify_payload(payload: bytes,
                      legit_payloads: Sequence[bytes]) -> Tuple[str, Optional[bytes]]:
-    """Type one probe payload against the recorded legitimate payloads."""
-    by_len: Dict[int, List[bytes]] = {}
-    for lp in legit_payloads:
-        by_len.setdefault(len(lp), []).append(lp)
-    for candidate in by_len.get(len(payload), ()):
+    """Type one probe payload against the recorded legitimate payloads
+    (only those of its length can match; the first match wins)."""
+    tail = payload[_SIGNED_BYTES:]
+    for candidate in legit_payloads:
+        if len(candidate) != len(payload) or candidate[_SIGNED_BYTES:] != tail:
+            continue
         if candidate == payload:
             return ProbeType.R1, candidate
-        diff = {i for i, (a, b) in enumerate(zip(payload, candidate)) if a != b}
+        diff = {i for i, (a, b) in enumerate(zip(payload[:_SIGNED_BYTES], candidate))
+                if a != b}
         for probe_type, signature in _SIGNATURES:
             effective = {off for off in signature if off < len(payload)}
             if diff and diff <= effective:

@@ -834,9 +834,12 @@ class CaptureProbeClassifier(Analyzer):
     def probes(self) -> List[ObservedProbe]:
         """The reconstructed probe list, classified against ground truth."""
         out: List[ObservedProbe] = []
+        by_len: Dict[int, List[bytes]] = {}
+        for legit in self.legit:
+            by_len.setdefault(len(legit), []).append(legit)
         for key, (time, payload) in sorted(self.first_payload.items(),
                                            key=lambda kv: kv[1][0]):
-            probe_type, matched = classify_payload(payload, self.legit)
+            probe_type, matched = classify_payload(payload, by_len.get(len(payload), ()))
             meta = self.syn_meta.get(key)
             out.append(ObservedProbe(
                 time=time,

@@ -22,7 +22,7 @@ forever (Winter & Lindskog's probe-resistance design).
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from .wire import (
     OBFS3_HANDSHAKE_LEN,
@@ -69,12 +69,11 @@ class ObfsServer:
         self.connect_timeout = connect_timeout
         self.dns_delay = dns_delay
         self.idle_timeout = idle_timeout
-        self.sessions: List[ObfsServerSession] = []
         host.listen(port, self._accept)
 
-    def _accept(self, conn) -> None:
+    def _accept(self, conn) -> ObfsServerSession:
         self.host.sim.bus.incr("obfs.session.accepted")
-        self.sessions.append(ObfsServerSession(self, conn))
+        return ObfsServerSession(self, conn)
 
     def stop(self) -> None:
         self.host.unlisten(self.port)
@@ -97,7 +96,7 @@ class ObfsServerSession:
         self._buffer = bytearray()
         self._pending = bytearray()   # frame bytes queued behind the dial
         self.remote = None
-        self._idle_event = None
+        self._idle_event = None  # armed at the end of __init__
         self._connect_event = None
         # Frame codecs are armed only after a successful handshake: the
         # keystream must not advance on probe garbage.
@@ -129,8 +128,7 @@ class ObfsServerSession:
 
     def _teardown(self) -> None:
         self.state = self.DONE
-        if self._idle_event is not None:
-            self._idle_event.cancel()
+        self._idle_event.cancel()
         if self._connect_event is not None:
             self._connect_event.cancel()
         if self.remote is not None and self.remote.state != "CLOSED":
@@ -143,15 +141,13 @@ class ObfsServerSession:
         if self.state != self.DONE:
             self.state = self.DONE
             self.conn.close()
-        if self._idle_event is not None:
-            self._idle_event.cancel()
+        self._idle_event.cancel()
 
     def _close_gracefully(self) -> None:
         """Parse failure on a parsing transport: FIN/ACK, like a real relay."""
         self.sim.bus.incr("obfs.session.rejected")
         self.state = self.DONE
-        if self._idle_event is not None:
-            self._idle_event.cancel()
+        self._idle_event.cancel()
         self.conn.close()
 
     def _drain(self) -> None:
@@ -292,8 +288,7 @@ class ObfsServerSession:
             self.remote.abort()
         self.remote = None
         self.state = self.DONE
-        if self._idle_event is not None:
-            self._idle_event.cancel()
+        self._idle_event.cancel()
         self.conn.close()
 
     def _connect_succeeded(self) -> None:
@@ -322,12 +317,10 @@ class ObfsServerSession:
         if self.state == self.PROXY:
             self.state = self.DONE
             self.conn.close()
-            if self._idle_event is not None:
-                self._idle_event.cancel()
+            self._idle_event.cancel()
 
     def _remote_reset(self) -> None:
         if self.state == self.PROXY:
             self.state = self.DONE
             self.conn.abort()
-            if self._idle_event is not None:
-                self._idle_event.cancel()
+            self._idle_event.cancel()

@@ -19,7 +19,7 @@ Observable reactions produced here, per the paper's taxonomy:
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from ..crypto import AuthenticationError, evp_bytes_to_key, get_spec
 from ..crypto.registry import CipherKind
@@ -70,12 +70,11 @@ class ShadowsocksServer:
         self.timed_filter = (
             TimedReplayFilter(timed_replay_window) if timed_replay_window else None
         )
-        self.sessions: List[ServerSession] = []
         host.listen(port, self._accept)
 
-    def _accept(self, conn) -> None:
+    def _accept(self, conn) -> ServerSession:
         self.host.sim.bus.incr("ss.session.accepted")
-        self.sessions.append(ServerSession(self, conn))
+        return ServerSession(self, conn)
 
     def restart(self) -> None:
         """Model a daemon restart: volatile replay state is lost."""
@@ -106,9 +105,8 @@ class ServerSession:
         self._initial_data = b""
         self.remote = None
         self.target = None
-        self._idle_event = None
+        self._idle_event = None  # armed at the end of __init__
         self._connect_event = None
-        self.nonce_checked = False
 
         kind = server.cipher_spec.kind
         if kind == CipherKind.STREAM:
@@ -147,8 +145,7 @@ class ServerSession:
 
     def _teardown(self) -> None:
         self.state = self.DONE
-        if self._idle_event is not None:
-            self._idle_event.cancel()
+        self._idle_event.cancel()
         if self._connect_event is not None:
             self._connect_event.cancel()
         if self.remote is not None and self.remote.state != "CLOSED":
@@ -162,16 +159,14 @@ class ServerSession:
         if self.state != self.DONE:
             self.state = self.DONE
             self.conn.close()
-        if self._idle_event is not None:
-            self._idle_event.cancel()
+        self._idle_event.cancel()
 
     def _fail(self) -> None:
         """Authentication failure or invalid target: profile-specific."""
         self.sim.bus.incr("ss.session.error")
         if self.profile.error_action == ErrorAction.RST:
             self.state = self.DONE
-            if self._idle_event is not None:
-                self._idle_event.cancel()
+            self._idle_event.cancel()
             self.conn.abort()
         else:
             self.state = self.DRAIN  # read forever; idle timer keeps running
@@ -233,8 +228,7 @@ class ServerSession:
                 # Outline v1.0.6: a probe of exactly [salt][len][tag] size
                 # draws an immediate FIN/ACK instead of a RST.
                 self.state = self.DONE
-                if self._idle_event is not None:
-                    self._idle_event.cancel()
+                self._idle_event.cancel()
                 self.conn.close()
             else:
                 self._fail()
@@ -245,7 +239,6 @@ class ServerSession:
 
     def _check_nonce(self, nonce: bytes) -> bool:
         """Run replay filters on a freshly completed IV/salt."""
-        self.nonce_checked = True
         if self.server.timed_filter is not None:
             # The timestamp the client embeds is modeled as its send time;
             # a replay presents a stale one.
@@ -333,8 +326,7 @@ class ServerSession:
         self.remote = None
         # Failure to reach the target: graceful FIN/ACK toward the client.
         self.state = self.DONE
-        if self._idle_event is not None:
-            self._idle_event.cancel()
+        self._idle_event.cancel()
         self.conn.close()
 
     def _connect_succeeded(self) -> None:
@@ -387,12 +379,10 @@ class ServerSession:
         if self.state == self.PROXY:
             self.state = self.DONE
             self.conn.close()
-            if self._idle_event is not None:
-                self._idle_event.cancel()
+            self._idle_event.cancel()
 
     def _remote_reset(self) -> None:
         if self.state == self.PROXY:
             self.state = self.DONE
             self.conn.abort()
-            if self._idle_event is not None:
-                self._idle_event.cancel()
+            self._idle_event.cancel()

@@ -19,7 +19,7 @@ the request (modeled as an opaque CFB stream).
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from ..crypto.modes import CFBMode
 from .protocol import AUTH_WINDOW, ATYP_HOSTNAME, ATYP_IPV4, auth_for, parse_command
@@ -47,15 +47,14 @@ class VmessServer:
         self.rng = rng or random.Random(0x3E55)
         self.connect_timeout = connect_timeout
         self.replay_cache: Set[bytes] = set()
-        self.sessions = []
         host.listen(port, self._accept)
 
     @property
     def hardened(self) -> bool:
         return self.profile == "v2ray-4.23"
 
-    def _accept(self, conn) -> None:
-        self.sessions.append(_VmessSession(self, conn))
+    def _accept(self, conn) -> _VmessSession:
+        return _VmessSession(self, conn)
 
     def auth_timestamp(self, auth: bytes, now: float) -> Optional[int]:
         """Which recent timestamp (if any) this auth header matches."""
@@ -68,6 +67,8 @@ class VmessServer:
 
 
 class _VmessSession:
+    IDLE_TIMEOUT = 300.0
+
     def __init__(self, server: VmessServer, conn):
         self.server = server
         self.conn = conn
@@ -81,11 +82,15 @@ class _VmessSession:
         conn.on_data = self._on_data
         conn.on_remote_fin = self._client_fin
         conn.on_reset = self._client_reset
-        # Legacy servers time out idle connections; hardened ones too, but
-        # only ever with a FIN after a long idle period.
-        self._idle = server.host.sim.schedule(300.0, self._idle_close)
+        # Both profiles reap a session with a FIN after IDLE_TIMEOUT
+        # seconds without traffic either way (V2Ray's connIdle).
+        self._idle = server.host.sim.schedule(self.IDLE_TIMEOUT, self._idle_close)
 
     # ----------------------------------------------------------- lifecycle
+
+    def _rearm_idle(self) -> None:
+        self._idle.cancel()
+        self._idle = self.server.host.sim.schedule(self.IDLE_TIMEOUT, self._idle_close)
 
     def _idle_close(self) -> None:
         if self.state != "done":
@@ -129,6 +134,7 @@ class _VmessSession:
     def _on_data(self, data: bytes) -> None:
         if self.state in ("done", "drain"):
             return
+        self._rearm_idle()
         if self.state == "proxy":
             if self.remote is not None:
                 self.remote.send(self._body_decipher.decrypt(data))
@@ -220,4 +226,5 @@ class _VmessSession:
         # Once the session is done the client connection is closing or
         # closed: the target's late data has nowhere to go.
         if self.state == "proxy":
+            self._rearm_idle()
             self.conn.send(self._response_cipher.encrypt(data))

@@ -28,13 +28,13 @@ class CurlDriver:
         self.sites = list(sites or SITES[:3])
         self.rng = rng or random.Random(0xCAFE)
         self.target_port = target_port
-        self.sessions = []
 
-    def fetch_once(self) -> None:
+    def fetch_once(self):
+        """Start one fetch and return its client session."""
         site = choice_draw(self.rng, self.sites)
         payload = site_request(site, self.rng)
         self.client.host.sim.bus.incr("workload.fetch")
-        self.sessions.append(self.client.open(site, self.target_port, payload))
+        return self.client.open(site, self.target_port, payload)
 
     def run_schedule(self, count: int, interval: float, start: float = 0.0) -> None:
         for i in range(count):
@@ -54,7 +54,6 @@ class BrowserDriver:
         self.think_low = think_time_low
         self.think_high = think_time_high
         self.target_port = target_port
-        self.sessions = []
         self._stopped = False
 
     def start(self, duration: float) -> None:
@@ -71,5 +70,5 @@ class BrowserDriver:
             return
         site = self.rng.choice(self.sites)
         payload = site_request(site, self.rng)
-        self.sessions.append(self.client.open(site, self.target_port, payload))
+        self.client.open(site, self.target_port, payload)
         sim.schedule(self.rng.uniform(self.think_low, self.think_high), self._visit)

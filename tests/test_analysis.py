@@ -20,6 +20,7 @@ from repro.analysis import (
     ttl_statistics,
     venn3,
 )
+from repro.analysis import classify as classify_module
 from repro.gfw import ProbeForge, ProbeType
 
 LEGIT = [bytes(range(100, 200)), bytes(range(50, 120))]
@@ -55,6 +56,44 @@ def test_classify_r2_not_confused_with_r3():
     payload = bytearray(LEGIT[0])
     payload[0] ^= 0xFF
     assert classify_payload(bytes(payload), LEGIT)[0] == ProbeType.R2
+
+
+def _classify_by_full_diff(payload, legit):
+    """The classifier without the tail check: diff every candidate of
+    the probe's length in full."""
+    for candidate in legit:
+        if len(candidate) != len(payload):
+            continue
+        if candidate == payload:
+            return ProbeType.R1, candidate
+        diff = {i for i, (a, b) in enumerate(zip(payload, candidate)) if a != b}
+        for probe_type, signature in classify_module._SIGNATURES:
+            if diff <= {off for off in signature if off < len(payload)}:
+                return probe_type, candidate
+    return classify_payload(payload, [])
+
+
+def test_classify_skips_candidates_by_tail_without_changing_a_type():
+    """Candidates that differ from the probe only past the signed bytes
+    are skipped unseen; every type and match stays the full diff's."""
+    rng = random.Random(5)
+    legit = []
+    for length in (40, 63, 64, 65, 100, 221):
+        tail = bytes(rng.randrange(256) for _ in range(length))
+        for _ in range(3):  # heads differ, tails shared
+            head = bytes(rng.randrange(256) for _ in range(min(length, 64)))
+            legit.append(head + tail[len(head):])
+        legit.append(bytes(rng.randrange(256) for _ in range(length)))
+    offsets = [{0}, {5}, {6, 16}, {16}, {20, 32}, {62, 63}, {63}, {64},
+               {3, 70}, {99}]
+    for candidate in legit:
+        for changed in offsets:
+            probe = bytearray(candidate)
+            for off in changed:
+                if off < len(probe):
+                    probe[off] ^= 0x5A
+            probe = bytes(probe)
+            assert classify_payload(probe, legit) == _classify_by_full_diff(probe, legit)
 
 
 # ----------------------------------------------------------- fingerprinting

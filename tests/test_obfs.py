@@ -18,6 +18,8 @@ from repro.obfs import (
 )
 from repro.obfs.wire import obfs4_decode_pad_len, obfs4_mac
 
+from .accepted import accepted_sessions
+
 
 # ------------------------------------------------------------------- wire
 
@@ -95,6 +97,7 @@ def test_unresolvable_target_closes_after_dns_delay():
     """The target frame names a host that does not resolve: the bridge
     answers with FIN/ACK one resolver delay after the frame arrives."""
     sim, client, server = _bridge("obfs4", lambda conn, data: None)
+    sessions = accepted_sessions(server)
     session = client.open("nowhere.example", 80, b"GET /")
     sim.run(until=30)
     assert session.closed and not session.reset and not session.reply
@@ -102,17 +105,18 @@ def test_unresolvable_target_closes_after_dns_delay():
     request = next(r for r in capture.received() if r.segment.is_data)
     fin = next(r for r in capture.sent() if r.segment.flags & Flags.FIN)
     assert fin.time - request.time == pytest.approx(server.dns_delay)
-    assert server.sessions[0].state == server.sessions[0].DONE
+    assert sessions[0].state == sessions[0].DONE
 
 
 def test_target_reset_resets_client():
     """A target that answers the first frame with RST: the bridge resets
     the client connection."""
     sim, client, server = _bridge("obfs4", lambda conn, data: conn.abort())
+    sessions = accepted_sessions(server)
     session = client.open("example.com", 80, b"GET / HTTP/1.1\r\n\r\n")
     sim.run(until=30)
     assert session.reset and not session.reply
-    bridged = server.sessions[0]
+    bridged = sessions[0]
     assert bridged.state == bridged.DONE and bridged.remote.reset_received
 
 
@@ -130,12 +134,14 @@ def test_unknown_profile_rejected():
 
 
 def _probe(profile, payload, until=300):
-    """Send one raw payload at the bridge; return (session state, reply)."""
+    """Send one raw payload at the bridge; return (the bridge's sessions,
+    reply, whether the bridge closed)."""
     sim = Simulator()
     net = Network(sim)
     prober_host = Host(sim, net, "192.0.2.99", "prober")
     bridge_host = Host(sim, net, "198.51.100.5", "bridge")
     server = ObfsServer(bridge_host, 443, "bridge", profile)
+    sessions = accepted_sessions(server)
     got = bytearray()
     conn = prober_host.connect("198.51.100.5", 443)
     conn.on_connected = lambda: conn.send(payload)
@@ -143,7 +149,7 @@ def _probe(profile, payload, until=300):
     closed = []
     conn.on_remote_fin = lambda: closed.append(True)
     sim.run(until=until)
-    return server, bytes(got), bool(closed)
+    return sessions, bytes(got), bool(closed)
 
 
 def test_vanilla_answers_forged_versions_probe():
@@ -173,14 +179,14 @@ def test_obfs3_ignores_short_probe():
 def test_obfs4_drains_unauthenticated_probes():
     rng = random.Random(9)
     block = bytes(rng.randrange(256) for _ in range(300))
-    server, reply, closed = _probe("obfs4", block, until=60)
+    sessions, reply, closed = _probe("obfs4", block, until=60)
     assert reply == b"" and not closed
-    assert server.sessions[0].state == server.sessions[0].DRAIN
+    assert sessions[0].state == sessions[0].DRAIN
 
 
 def test_obfs4_accepts_keyed_handshake():
     key = node_key("bridge")
     hs = obfs4_handshake(key, "c2s", random.Random(10))
-    server, reply, _ = _probe("obfs4", hs)
+    sessions, reply, _ = _probe("obfs4", hs)
     assert len(reply) > 0   # the mirrored server handshake
-    assert server.sessions[0].state != server.sessions[0].DRAIN
+    assert sessions[0].state != sessions[0].DRAIN

@@ -13,6 +13,8 @@ from repro.shadowsocks import (
 from repro.shadowsocks.aead_session import AeadEncryptor, aead_master_key
 from repro.shadowsocks.spec import ATYP_IPV6
 
+from .accepted import accepted_sessions
+
 
 def make_world(method="aes-256-gcm", profile="ss-libev-3.3.1", **server_kwargs):
     sim = Simulator()
@@ -55,13 +57,14 @@ def test_idle_timer_resets_on_activity():
 def test_drain_state_swallows_everything():
     sim, net, server, client, (server_host, client_host, _) = make_world(
         profile="ss-libev-3.3.1")
+    sessions = accepted_sessions(server)
     conn = client_host.connect(server_host.ip, 8388)
     got = []
     conn.on_data = got.append
     # Garbage long enough to fail AEAD authentication.
     conn.on_connected = lambda: conn.send(bytes(range(100)))
     sim.run(until=5)
-    session = server.sessions[0]
+    session = sessions[0]
     assert session.state == session.DRAIN
     conn.send(bytes(500))  # more garbage: still silence
     sim.run(until=10)
@@ -102,10 +105,11 @@ def test_client_rst_during_connecting_aborts_remote():
     sim, net, server, client, hosts = make_world()
     server_host, client_host, web = hosts
     net.set_latency(server_host.ip, web.ip, 1.0)
+    sessions = accepted_sessions(server)
     session = client.open("site.example", 80, b"x")
     sim.schedule(0.5, session.conn.abort)
     sim.run(until=10)
-    assert server.sessions[0].state == server.sessions[0].DONE
+    assert sessions[0].state == sessions[0].DONE
 
 
 def test_server_stop_unlistens():

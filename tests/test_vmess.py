@@ -15,6 +15,8 @@ from repro.vmess import (
     parse_command,
 )
 
+from .accepted import accepted_sessions
+
 USER_ID = bytes(range(16))
 
 
@@ -125,10 +127,11 @@ def test_late_upstream_syn_ack_is_reset_not_proxied():
     sim, net, server, client, (server_host, _, _) = make_world()
     web_ip = net.resolve("site.example")
     net.set_latency(server_host.ip, web_ip, 4.0)  # SYN/ACK after 8 s
+    sessions = accepted_sessions(server)
     session = client.open(web_ip, 80, b"GET / HTTP/1.1\r\n\r\n")
     sim.run(until=60)
     assert session.closed and not session.reset and not session.reply
-    upstream = server.sessions[0].remote
+    upstream = sessions[0].remote
     assert upstream.reset_sent and upstream.state == "CLOSED"
 
 
@@ -136,10 +139,11 @@ def test_client_reset_while_dialing_aborts_upstream():
     sim, net, server, client, (server_host, _, _) = make_world()
     web_ip = net.resolve("site.example")
     net.set_latency(server_host.ip, web_ip, 4.0)
+    sessions = accepted_sessions(server)
     session = client.open(web_ip, 80, b"GET / HTTP/1.1\r\n\r\n")
     sim.schedule(1.0, session.conn.abort)
     sim.run(until=60)
-    proxied = server.sessions[0]
+    proxied = sessions[0]
     assert proxied.state == "done"
     assert proxied.remote.reset_sent and proxied.remote.state == "CLOSED"
 
@@ -155,35 +159,75 @@ def test_unresolvable_target_closes_after_resolver_delay():
 
 
 def test_idle_timer_closes_both_legs():
-    """The idle timer fires 300 s after accept whatever the traffic: it
-    closes the client leg and FINs the upstream, and the target's later
-    data is dropped instead of sent on the closed client connection."""
+    """The idle timer restarts on traffic either way.  The target ticks
+    twice and goes quiet: 300 s after the last tick the timer closes the
+    client leg and FINs the upstream, and the target's later data is
+    dropped instead of sent on the closed client connection."""
     sim = Simulator()
     net = Network(sim)
     server_host = Host(sim, net, "198.51.100.30", "vmess-server")
     client_host = Host(sim, net, "192.0.2.30", "vmess-client")
     web = Host(sim, net, "198.18.0.30", "web")
+    targets = []
 
     def ticker(conn):
-        def tick():
+        def tick(left):
             conn.send(b"tick-tock")
-            sim.schedule(100.0, tick)
+            if left > 1:
+                sim.schedule(100.0, tick, left - 1)
 
-        conn.on_data = lambda data: sim.schedule(100.0, tick)
+        targets.append(conn)
+        conn.on_data = lambda data: sim.schedule(100.0, tick, 2)
 
     web.listen(80, ticker)
     server = VmessServer(server_host, 10086, USER_ID, rng=random.Random(1))
+    sessions = accepted_sessions(server)
     client = VmessClient(client_host, server_host.ip, 10086, USER_ID,
                          rng=random.Random(2))
     session = client.open(web.ip, 80, b"GET /")
-    sim.run(until=301)
-    proxied = server.sessions[0]
+    sim.run(until=400)
+    proxied = sessions[0]
+    assert proxied.conn.is_open  # 300 s after accept, but not after the ticks
+    sim.run(until=600)
     assert proxied.conn.state == "CLOSED" and not proxied.conn.is_open
     assert proxied.remote.fin_sent_first and not proxied.remote.is_open
     assert session.closed and not session.reset
     assert bytes(session.reply) == b"tick-tock" * 2
-    sim.run(until=700)
+
+    capture = server_host.capture
+    last = max(r.time for r in capture.received()
+               if r.segment.is_data and r.segment.src_ip == web.ip)
+    fins = {r.segment.dst_ip: r.time for r in capture.sent()
+            if r.segment.flags & Flags.FIN}
+    assert fins[client_host.ip] - last == pytest.approx(300.0)
+    assert fins[web.ip] - last == pytest.approx(300.0)
+
+    sim.schedule(100.0, targets[0].send, b"late")
+    sim.run(until=800)
+    assert any(r.segment.is_data and r.segment.src_ip == web.ip and r.time > 600
+               for r in capture.received())
     assert bytes(session.reply) == b"tick-tock" * 2
+
+
+def test_idle_timer_restarts_on_client_data():
+    """Client bytes alone keep a session up: with a silent target, the
+    timer closes the session 300 s after the client's last send."""
+    sim = Simulator()
+    net = Network(sim)
+    server_host = Host(sim, net, "198.51.100.30", "vmess-server")
+    client_host = Host(sim, net, "192.0.2.30", "vmess-client")
+    web = Host(sim, net, "198.18.0.30", "web")
+    web.listen(80, lambda conn: None)
+    server = VmessServer(server_host, 10086, USER_ID, rng=random.Random(1))
+    sessions = accepted_sessions(server)
+    client = VmessClient(client_host, server_host.ip, 10086, USER_ID,
+                         rng=random.Random(2))
+    session = client.open(web.ip, 80, b"GET /")
+    sim.schedule(200.0, session.send, b"more")
+    sim.run(until=450)
+    assert sessions[0].conn.is_open and not session.closed
+    sim.run(until=600)
+    assert session.closed and not session.reset
 
 
 # ----------------------------------------------------------- probing holes
