@@ -12,7 +12,7 @@ from .kdf import derive_subkey, evp_bytes_to_key, hkdf_sha1
 from .modes import CFBMode, CTRMode
 from .poly1305 import poly1305_mac
 from .registry import CIPHERS, CipherKind, CipherSpec, get_spec
-from .stream import RC4, ChaCha20DJB, new_stream_cipher
+from .stream import RC4, ChaCha20DJB, new_stream_cipher, stream_key
 
 __all__ = [
     "AES",
@@ -35,4 +35,5 @@ __all__ = [
     "new_aead",
     "new_stream_cipher",
     "poly1305_mac",
+    "stream_key",
 ]

@@ -9,12 +9,13 @@ Shadowsocks chunk.
 
 from __future__ import annotations
 
+import hmac
 import struct
 
 from . import recordcache
 from ._xor import xor_bytes
 from .chacha20 import _ietf_tails, _key_words, _keystream, _nonce_words
-from .gcm import AESGCM, AuthenticationError, _eq
+from .gcm import AESGCM, AuthenticationError
 from .poly1305 import _Poly1305
 
 __all__ = ["AESGCM", "ChaCha20Poly1305", "AuthenticationError", "new_aead"]
@@ -96,7 +97,7 @@ class ChaCha20Poly1305:
         ciphertext, tag = sealed[: -self.TAG_SIZE], sealed[-self.TAG_SIZE :]
         n = len(ciphertext)
         ks = _keystream(_key_words(self._key), _record_tails(nonce_words, n))
-        if not _eq(tag, self._tag(ks[:32], aad, ciphertext)):
+        if not hmac.compare_digest(tag, self._tag(ks[:32], aad, ciphertext)):
             raise AuthenticationError("Poly1305 tag mismatch")
         return xor_bytes(ciphertext, ks[64 : 64 + n])
 

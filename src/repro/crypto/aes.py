@@ -6,27 +6,31 @@ implemented.  One block at a time, SubBytes + ShiftRows + MixColumns are
 fused into four precomputed 32-bit T-tables and the round loop works on
 four column words, several times faster than the byte-oriented FIPS 197
 walk.  ``encrypt_blocks`` is the one batch function (CTR and GCM
-keystreams, CFB decryption): it runs that T-table loop per block below
-``SLICED_MIN_BLOCKS`` and, from there, a byte-sliced round loop that runs
-each round once over the whole batch.  Both are property-tested
-byte-identical to the textbook cipher in ``tests/crypto_reference.py``.
+keystreams, CFB decryption).  A single block runs the T-table loop.
+Batches from 2 blocks up to ``SLICED_MIN_BLOCKS`` (every probe and short
+record) run row-lane rounds: the whole batch is one int and each round a
+few dozen whole-int operations.  Larger batches run byte-sliced rounds,
+one int per byte position.  All three are property-tested byte-identical
+to the textbook cipher in ``tests/crypto_reference.py``.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import List, Tuple
 
 __all__ = ["AES", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 16
 
-# The byte-sliced round loop costs about as much for one block as for a
-# few dozen, so it only wins on larger batches.  T-table time over sliced
-# time on a 2-core x86 host, median (quartiles) of 18 ratios (keystream
-# and ECB, AES-128/192/256, three runs): 0.44 (0.42-0.45) at 4 blocks,
-# 0.89 (0.84-0.95) at 8, 0.95 (0.93-1.03) at 9, 1.08 (1.02-1.23) at 10,
-# 1.29 (1.23-1.35) at 12, 1.62 (1.52-1.77) at 16.
-SLICED_MIN_BLOCKS = 10
+# The row-lane rounds cost a few dozen whole-int operations whatever the
+# batch size, while the byte-sliced rounds cost 16 planes' worth of C
+# calls; the sliced loop overtakes from about 120 blocks.  Row-lane time
+# over sliced time on a 2-core x86 host, median (quartiles) of 9 ratios
+# (ECB, AES-128/192/256, three runs): 0.79 (0.74-0.81) at 64 blocks,
+# 0.91 (0.87-0.94) at 96, 0.97 (0.91-1.02) at 112, 1.04 (0.93-1.21) at
+# 128, 1.13 (1.06-1.17) at 160.
+SLICED_MIN_BLOCKS = 120
 
 _MASK128 = (1 << 128) - 1
 
@@ -89,13 +93,32 @@ def _build_ttables() -> Tuple[List[int], List[int], List[int], List[int]]:
 
 _T0, _T1, _T2, _T3 = _build_ttables()
 
-# ``translate`` tables for the byte-sliced path: S, and 2·S (T0's top byte).
+# ``translate`` tables: S for both batch loops, 2·S (T0's top byte) for
+# the byte-sliced one.
 _SBOX_BYTES = bytes(_SBOX)
 _DBL_BYTES = bytes(_T0[x] >> 24 for x in range(256))
 
 # ShiftRows as a renaming of byte planes: byte 4c + r of the shifted
 # state is byte 4((c + r) mod 4) + r of the input.
 _SHIFT_ROWS = [4 * ((i // 4 + i % 4) % 4) + i % 4 for i in range(16)]
+
+
+def _lane_pattern(keep) -> bytes:
+    """One block of a row-lane mask: 0xFF at byte p = 4·column + row
+    where ``keep(column, row)``."""
+    return bytes(0xFF if keep(p // 4, p % 4) else 0 for p in range(16))
+
+
+# Row-lane masks, one 16-byte block each; ``_encrypt_lanes`` repeats them
+# over the batch.  ShiftRows moves row r down 4r bytes, and the bytes of
+# its last r columns wrap to the top of the block: each row's mask pair
+# selects where the two parts land.  ``_ROW0`` is row 0 (which stays),
+# ``_NOT_ROW3`` rows 0-2 of every column (rows 1-3 move down one byte in
+# MixColumns' column rotation, row 0 wraps to row 3).
+_ROW0 = _lane_pattern(lambda c, r: r == 0)
+_NOT_ROW3 = _lane_pattern(lambda c, r: r != 3)
+_SHIFT_DOWN = [_lane_pattern(lambda c, r, k=k: r == k and c < 4 - k) for k in (1, 2, 3)]
+_SHIFT_UP = [_lane_pattern(lambda c, r, k=k: r == k and c >= 4 - k) for k in (1, 2, 3)]
 
 
 class AES:
@@ -111,6 +134,7 @@ class AES:
         self.key_size = len(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
+        self._round_key_bytes = None  # built by the first batch
 
     @staticmethod
     def _expand_key(key: bytes) -> List[Tuple[int, int, int, int]]:
@@ -194,32 +218,73 @@ class AES:
     def encrypt_blocks(self, blocks) -> bytearray:
         """ECB-encrypt a buffer of concatenated 16-byte blocks.
 
-        The blocks are independent, so they are one batch.  Below
-        ``SLICED_MIN_BLOCKS`` the T-table loop runs per block.  From
-        there the batch is byte-sliced: plane *i* is byte *i* of every
-        block, held as one little-endian int, and each round runs once
-        over all planes.  SubBytes and the MixColumns doubling are
-        ``translate`` calls through S and 2·S, ShiftRows renames planes,
-        and MixColumns and AddRoundKey are XORs of whole planes (a
-        round-key byte times ``0x0101...01`` is that byte in every block).
+        The blocks are independent, so they are one batch: a single block
+        runs the T-table loop, batches below ``SLICED_MIN_BLOCKS`` the
+        row-lane rounds, larger ones the byte-sliced rounds.
         """
         if len(blocks) % BLOCK_SIZE:
             raise ValueError("buffer must be a multiple of 16 bytes")
         nb = len(blocks) // BLOCK_SIZE
-        out = bytearray(len(blocks))
+        if nb == 1:
+            return bytearray(self.encrypt_block(blocks))
         if nb < SLICED_MIN_BLOCKS:
-            encrypt_words = self._encrypt_words
-            for pos in range(0, len(blocks), 16):
-                n = int.from_bytes(blocks[pos : pos + 16], "big")
-                e0, e1, e2, e3 = encrypt_words(
-                    n >> 96, (n >> 64) & 0xFFFFFFFF, (n >> 32) & 0xFFFFFFFF, n & 0xFFFFFFFF
-                )
-                out[pos : pos + 16] = (
-                    (e0 << 96) | (e1 << 64) | (e2 << 32) | e3
-                ).to_bytes(16, "big")
-            return out
+            return self._encrypt_lanes(blocks, nb)
+        return self._encrypt_sliced(blocks, nb)
+
+    def _keys(self) -> List[bytes]:
+        """The round keys as 16-byte strings, in block byte order."""
+        keys = self._round_key_bytes
+        if keys is None:
+            keys = self._round_key_bytes = [struct.pack(">4I", *rk)
+                                            for rk in self._round_keys]
+        return keys
+
+    def _encrypt_lanes(self, blocks, nb: int) -> bytearray:
+        """Row-lane rounds: the batch is one little-endian int, byte p of
+        block i at byte 16i + p, and each round is a few dozen whole-int
+        operations, nearly flat in the batch size.
+
+        SubBytes is one ``translate`` of the whole batch.  ShiftRows keeps
+        row 0 and moves each row r down 4r bytes, wrapping its last r
+        columns to the top of the block.  With rot(s) the state whose row
+        r is s's row r + 1 of the same column, and t the XOR of a column's
+        four bytes, MixColumns is s ^ t ^ xtime(s ^ rot(s)).  AddRoundKey
+        XORs the round key repeated once per block.
+        """
+        size = 16 * nb
+        from_bytes, sbox = int.from_bytes, _SBOX_BYTES
+        keys = [from_bytes(k * nb, "little") for k in self._keys()]
+        row0, not_row3 = from_bytes(_ROW0 * nb, "little"), from_bytes(_NOT_ROW3 * nb, "little")
+        d1, d2, d3 = (from_bytes(m * nb, "little") for m in _SHIFT_DOWN)
+        u1, u2, u3 = (from_bytes(m * nb, "little") for m in _SHIFT_UP)
+        low7 = from_bytes(b"\x7f" * size, "little")
+        bit0 = from_bytes(b"\x01" * size, "little")
+        x = from_bytes(blocks, "little") ^ keys[0]
+        for rnd in range(1, self.rounds + 1):
+            x = ((x & row0)
+                 | ((x >> 32) & d1) | ((x << 96) & u1)
+                 | ((x >> 64) & d2) | ((x << 64) & u2)
+                 | ((x >> 96) & d3) | ((x << 32) & u3))
+            x = from_bytes(x.to_bytes(size, "little").translate(sbox), "little")
+            if rnd < self.rounds:  # the final round has no MixColumns
+                a = x ^ ((x >> 8) & not_row3) ^ ((x & row0) << 24)
+                t = x ^ (x >> 16)
+                t = ((t ^ (t >> 8)) & row0) * 0x01010101
+                x ^= t ^ ((a & low7) << 1) ^ ((a >> 7) & bit0) * 0x1B
+            x ^= keys[rnd]
+        return bytearray(x.to_bytes(size, "little"))
+
+    def _encrypt_sliced(self, blocks, nb: int) -> bytearray:
+        """Byte-sliced rounds: plane *i* is byte *i* of every block, held
+        as one little-endian int, and each round runs once over all
+        planes.  SubBytes and the MixColumns doubling are ``translate``
+        calls through S and 2·S, ShiftRows renames planes, and MixColumns
+        and AddRoundKey are XORs of whole planes (a round-key byte times
+        ``0x0101...01`` is that byte in every block).
+        """
+        out = bytearray(len(blocks))
         ones = int.from_bytes(b"\x01" * nb, "little")
-        keys = [b"".join(w.to_bytes(4, "big") for w in rk) for rk in self._round_keys]
+        keys = self._keys()
         from_bytes, sbox, dbl = int.from_bytes, _SBOX_BYTES, _DBL_BYTES
         planes = [from_bytes(blocks[i::16], "little") ^ keys[0][i] * ones
                   for i in range(16)]

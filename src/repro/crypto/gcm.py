@@ -1,18 +1,20 @@
 """AES-GCM authenticated encryption (NIST SP 800-38D) with a 12-byte nonce.
 
 Used for the Shadowsocks AEAD methods ``aes-128-gcm``, ``aes-192-gcm`` and
-``aes-256-gcm``.  Two hot loops are batched: the CTR keystream comes from
-:meth:`AES.keystream` one whole message at a time (with GCM's 32-bit
-counter wrap), and GHASH uses sixteen per-byte-position product tables of
-H — one 256-entry table per byte of the block, so a block multiply is 16
-lookups + XORs instead of 128 shift-and-add steps.  The tables are built
-lazily once a session has hashed enough data to amortize the build cost;
-short-lived sessions (active-probe sized) stay on the per-bit
-:func:`_gf_mult`, which is retained and byte-identical.
+``aes-256-gcm``.  The CTR keystream comes from :meth:`AES.keystream` one
+whole message at a time (with GCM's 32-bit counter wrap).  GHASH
+multiplies by H through product tables.  A session's first
+``_TABLE_THRESHOLD`` hashed bytes (every active probe, every short
+record) use Shoup's 4-bit method: 16 multiples of H, built per tag in a
+few microseconds, and 32 table steps per block.  From there the session
+builds sixteen 256-entry tables, one per byte position of the block, so
+a block costs 16 lookups and XORs.  Both are property-tested against the
+per-bit multiply of ``tests/crypto_reference.py``.
 """
 
 from __future__ import annotations
 
+import hmac
 import struct
 
 from . import recordcache
@@ -23,46 +25,51 @@ __all__ = ["AESGCM", "AuthenticationError"]
 
 _R = 0xE1 << 120
 
-# Cumulative GHASH bytes after which a session builds its H tables.  The
-# build costs roughly 20 per-bit block multiplies, so this is the
-# break-even neighbourhood.
-_TABLE_THRESHOLD = 512
+# Cumulative GHASH bytes after which a session builds its 16x256 tables:
+# the break-even with the 4-bit method.  On a 2-core x86 host the build
+# took 470-710 us and a block 6.4-7.7 us by 4 bits against 1.3-2.1 us by
+# the tables; the build paid for itself after a median of 125 blocks
+# (quartiles 101-138, 9 runs).
+_TABLE_THRESHOLD = 2048
 
 
 class AuthenticationError(Exception):
     """Raised when an AEAD tag fails to verify."""
 
 
-def _gf_mult(x: int, y: int) -> int:
-    """Multiplication in GF(2^128) with the GCM polynomial (big-endian bits)."""
-    z = 0
-    v = x
-    for i in range(127, -1, -1):
-        if (y >> i) & 1:
-            z ^= v
-        if v & 1:
-            v = (v >> 1) ^ _R
-        else:
-            v >>= 1
-    return z
+def _reduction_table(bits: int) -> list:
+    """Reduction table for multiplying a field element by x^bits.
 
-
-def _build_x8r() -> list:
-    """Reduction table for multiplying a field element by x^8.
-
-    Over eight multiply-by-x steps only the low byte of the element ever
-    reaches bit 0 (the reduction trigger), so v*x^8 == (v >> 8) ^ X8R[v & 0xFF].
+    Over ``bits`` multiply-by-x steps only the low ``bits`` bits of the
+    element ever reach bit 0 (the reduction trigger), so
+    v*x^bits == (v >> bits) ^ table[v & (2^bits - 1)].
     """
     table = []
-    for lb in range(256):
-        v = lb
-        for _ in range(8):
+    for v in range(1 << bits):
+        for _ in range(bits):
             v = (v >> 1) ^ _R if v & 1 else v >> 1
         table.append(v)
     return table
 
 
-_X8R = _build_x8r()
+_X4R = _reduction_table(4)
+_X8R = _reduction_table(8)
+
+
+def _build_h_nibbles(h: int) -> list:
+    """Shoup's 4-bit table: ``m[n]`` is the product ``(n << 124) * H``.
+
+    Bit 3 of a nibble is its x^0 term, so ``m[8]`` is H, ``m[4]`` H*x,
+    ``m[2]`` H*x^2 and ``m[1]`` H*x^3; the rest are XORs of those.
+    """
+    m = [0] * 16
+    for bit in (8, 4, 2, 1):
+        m[bit] = h
+        h = (h >> 1) ^ _R if h & 1 else h >> 1
+    for n in (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15):
+        lsb = n & -n
+        m[n] = m[lsb] ^ m[n ^ lsb]
+    return m
 
 
 def _build_h_tables(h: int) -> list:
@@ -93,6 +100,41 @@ def _build_h_tables(h: int) -> list:
     return tables
 
 
+def _ghash_nibbles(m: list, data: bytes) -> int:
+    """GHASH of ``data`` (whole blocks) with the 4-bit table ``m``.
+
+    Horner's rule from the highest-degree nibble: each step multiplies the
+    running product by x^4 and adds the next nibble's multiple of H.  In
+    GCM's bit order the highest-degree nibble is the low nibble of the
+    block's last byte, so the steps walk the block's bytes little-endian,
+    low nibble first.
+    """
+    x4r = _X4R
+    y = 0
+    for i in range(0, len(data), 16):
+        z = 0
+        for b in (y ^ int.from_bytes(data[i : i + 16], "big")).to_bytes(16, "little"):
+            z = (z >> 4) ^ x4r[z & 15] ^ m[b & 15]
+            z = (z >> 4) ^ x4r[z & 15] ^ m[b >> 4]
+        y = z
+    return y
+
+
+def _ghash_tables(tables: list, data: bytes) -> int:
+    """GHASH of ``data`` (whole blocks) with the 16 per-byte-position
+    tables."""
+    (t0, t1, t2, t3, t4, t5, t6, t7,
+     t8, t9, t10, t11, t12, t13, t14, t15) = tables
+    y = 0
+    for i in range(0, len(data), 16):
+        b = (y ^ int.from_bytes(data[i : i + 16], "big")).to_bytes(16, "big")
+        y = (t0[b[0]] ^ t1[b[1]] ^ t2[b[2]] ^ t3[b[3]]
+             ^ t4[b[4]] ^ t5[b[5]] ^ t6[b[6]] ^ t7[b[7]]
+             ^ t8[b[8]] ^ t9[b[9]] ^ t10[b[10]] ^ t11[b[11]]
+             ^ t12[b[12]] ^ t13[b[13]] ^ t14[b[14]] ^ t15[b[15]])
+    return y
+
+
 class AESGCM:
     """AES-GCM with 12-byte nonces and 16-byte tags."""
 
@@ -106,41 +148,6 @@ class AESGCM:
         self._tables = None
         self._hashed = 0
 
-    def _ghash_update(self, y: int, data: bytes) -> int:
-        """Fold ``data`` (zero-padded to a block boundary) into GHASH state."""
-        n = len(data)
-        if not n:
-            return y
-        self._hashed += n
-        if self._tables is None and self._hashed >= _TABLE_THRESHOLD:
-            self._tables = _build_h_tables(self._h)
-        tail = n % 16
-        full = n - tail
-        if self._tables is None:
-            h = self._h
-            for i in range(0, full, 16):
-                y = _gf_mult(y ^ int.from_bytes(data[i : i + 16], "big"), h)
-            if tail:
-                block = data[full:].ljust(16, b"\x00")
-                y = _gf_mult(y ^ int.from_bytes(block, "big"), h)
-            return y
-        (t0, t1, t2, t3, t4, t5, t6, t7,
-         t8, t9, t10, t11, t12, t13, t14, t15) = self._tables
-        for i in range(0, full, 16):
-            b = (y ^ int.from_bytes(data[i : i + 16], "big")).to_bytes(16, "big")
-            y = (t0[b[0]] ^ t1[b[1]] ^ t2[b[2]] ^ t3[b[3]]
-                 ^ t4[b[4]] ^ t5[b[5]] ^ t6[b[6]] ^ t7[b[7]]
-                 ^ t8[b[8]] ^ t9[b[9]] ^ t10[b[10]] ^ t11[b[11]]
-                 ^ t12[b[12]] ^ t13[b[13]] ^ t14[b[14]] ^ t15[b[15]])
-        if tail:
-            block = data[full:].ljust(16, b"\x00")
-            b = (y ^ int.from_bytes(block, "big")).to_bytes(16, "big")
-            y = (t0[b[0]] ^ t1[b[1]] ^ t2[b[2]] ^ t3[b[3]]
-                 ^ t4[b[4]] ^ t5[b[5]] ^ t6[b[6]] ^ t7[b[7]]
-                 ^ t8[b[8]] ^ t9[b[9]] ^ t10[b[10]] ^ t11[b[11]]
-                 ^ t12[b[12]] ^ t13[b[13]] ^ t14[b[14]] ^ t15[b[15]])
-        return y
-
     def _crypt(self, nonce: bytes, data: bytes) -> bytes:
         if not data:
             return b""
@@ -152,14 +159,21 @@ class AESGCM:
         return xor_bytes(data, ks)
 
     def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        # aad and ciphertext are zero-padded to block boundaries
-        # independently, so GHASH can fold them in piecewise without
-        # materializing the padded concatenation.
-        y = self._ghash_update(0, aad)
-        y = self._ghash_update(y, ciphertext)
-        y = self._ghash_update(
-            y, struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8))
-        ek_y0 = self._aes.encrypt_block(nonce + struct.pack(">I", 1))
+        # GHASH input: aad and ciphertext, each zero-padded to a block
+        # boundary, then their bit lengths.  The 4-bit table is built
+        # per tag, not kept: the instance memo keeps thousands of
+        # short-lived sessions' instances alive.
+        data = b"".join((aad, bytes(-len(aad) % 16), ciphertext,
+                         bytes(-len(ciphertext) % 16),
+                         struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8)))
+        self._hashed += len(data)
+        if self._tables is None and self._hashed >= _TABLE_THRESHOLD:
+            self._tables = _build_h_tables(self._h)
+        if self._tables is None:
+            y = _ghash_nibbles(_build_h_nibbles(self._h), data)
+        else:
+            y = _ghash_tables(self._tables, data)
+        ek_y0 = self._aes.encrypt_block(nonce + b"\x00\x00\x00\x01")
         return (y ^ int.from_bytes(ek_y0, "big")).to_bytes(16, "big")
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
@@ -189,16 +203,7 @@ class AESGCM:
         if len(sealed) < self.TAG_SIZE:
             raise AuthenticationError("ciphertext shorter than tag")
         ciphertext, tag = sealed[: -self.TAG_SIZE], sealed[-self.TAG_SIZE :]
-        if not _eq(tag, self._tag(nonce, aad, ciphertext)):
+        if not hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
             raise AuthenticationError("GCM tag mismatch")
         return self._crypt(nonce, ciphertext)
 
-
-def _eq(a: bytes, b: bytes) -> bool:
-    """Constant-time-style byte comparison, as real implementations use."""
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0

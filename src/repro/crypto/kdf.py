@@ -40,12 +40,12 @@ def hkdf_sha1(key: bytes, salt: bytes, info: bytes, length: int) -> bytes:
     """
     if length <= 0 or length > 255 * 20:
         raise ValueError(f"invalid HKDF output length {length}")
-    prk = hmac.new(salt if salt else bytes(20), key, hashlib.sha1).digest()
+    prk = hmac.digest(salt if salt else bytes(20), key, "sha1")
     okm = b""
     block = b""
     counter = 1
     while len(okm) < length:
-        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha1).digest()
+        block = hmac.digest(prk, block + info + bytes([counter]), "sha1")
         okm += block
         counter += 1
     return okm[:length]

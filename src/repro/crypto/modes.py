@@ -11,15 +11,27 @@ single large call) and XORs whole buffers at once.  CFB works
 block-at-a-time; encryption is inherently sequential (each keystream
 block is the cipher of the *previous ciphertext block*), but decryption
 knows all its register values up front — they are the ciphertext blocks
-themselves — so it encrypts them as one batch.
+themselves — so it encrypts them, with the block a partial tail needs,
+as one batch.
+
+Both modes take the key as bytes or as an expanded :class:`AES`: a key
+owner that opens many sessions under one key (a Shadowsocks server or
+client and its master key) expands it once and hands every session the
+same schedule.
 """
 
 from __future__ import annotations
+
+from typing import Union
 
 from ._xor import xor_bytes
 from .aes import AES, BLOCK_SIZE
 
 __all__ = ["CTRMode", "CFBMode"]
+
+
+def _block_cipher(key: Union[bytes, AES]) -> AES:
+    return key if isinstance(key, AES) else AES(key)
 
 
 class CTRMode:
@@ -28,10 +40,10 @@ class CTRMode:
     Encryption and decryption are the same operation.
     """
 
-    def __init__(self, key: bytes, iv: bytes):
+    def __init__(self, key: Union[bytes, AES], iv: bytes):
         if len(iv) != BLOCK_SIZE:
             raise ValueError(f"CTR IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-        self._cipher = AES(key)
+        self._cipher = _block_cipher(key)
         self._counter = int.from_bytes(iv, "big")
         self._ks = bytearray()
         self._pos = 0
@@ -65,10 +77,10 @@ class CTRMode:
 class CFBMode:
     """AES-CFB128 (full-block feedback), incremental, OpenSSL semantics."""
 
-    def __init__(self, key: bytes, iv: bytes, encrypt: bool):
+    def __init__(self, key: Union[bytes, AES], iv: bytes, encrypt: bool):
         if len(iv) != BLOCK_SIZE:
             raise ValueError(f"CFB IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-        self._cipher = AES(key)
+        self._cipher = _block_cipher(key)
         self._register = iv
         self._encrypting = encrypt
         self._pending = b""  # keystream bytes not yet consumed from current block
@@ -98,15 +110,13 @@ class CFBMode:
 
         # Aligned now: the register holds the last 16 ciphertext bytes.
         self._feedback = b""
-        enc = self._cipher.encrypt_block
         reg = self._register
-        nfull = (n - pos) // BLOCK_SIZE
-        if nfull:
-            end = pos + BLOCK_SIZE * nfull
-            if self._encrypting:
-                # Sequential: keystream block i is E(ciphertext block i-1).
-                # Work on the register as a 128-bit int to avoid a
-                # bytes round-trip per block.
+        end = pos + BLOCK_SIZE * ((n - pos) // BLOCK_SIZE)
+        if self._encrypting:
+            # Sequential: keystream block i is E(ciphertext block i-1).
+            # Work on the register as a 128-bit int to avoid a bytes
+            # round-trip per block.
+            if end > pos:
                 encrypt_words = self._cipher._encrypt_words
                 r = int.from_bytes(reg, "big")
                 for i in range(pos, end, BLOCK_SIZE):
@@ -117,23 +127,25 @@ class CFBMode:
                         ^ int.from_bytes(data[i : i + BLOCK_SIZE], "big")
                     out += r.to_bytes(BLOCK_SIZE, "big")
                 reg = bytes(out[-BLOCK_SIZE:])
-            else:
-                # All register values are known ciphertext blocks: batch.
-                regs = reg + data[pos : end - BLOCK_SIZE]
-                ks = self._cipher.encrypt_blocks(regs)
-                out += xor_bytes(data[pos:end], ks)
+            tail_ks = self._cipher.encrypt_block(reg) if end < n else b""
+        else:
+            # Every register value is a known ciphertext block, the
+            # partial tail's too: one batch.
+            last = end if end < n else end - BLOCK_SIZE
+            ks = self._cipher.encrypt_blocks(reg + data[pos:last])
+            out += xor_bytes(data[pos:end], ks[: end - pos])
+            tail_ks = bytes(ks[end - pos :])
+            if end > pos:
                 reg = data[end - BLOCK_SIZE : end]
-            pos = end
 
         # Tail: start a partial block.
-        if pos < n:
-            full_ks = enc(reg)
-            take = n - pos
-            piece = (int.from_bytes(data[pos:], "big")
-                     ^ int.from_bytes(full_ks[:take], "big")).to_bytes(take, "big")
+        if end < n:
+            take = n - end
+            piece = (int.from_bytes(data[end:], "big")
+                     ^ int.from_bytes(tail_ks[:take], "big")).to_bytes(take, "big")
             out += piece
-            self._pending = full_ks[take:]
-            self._feedback = piece if self._encrypting else data[pos:]
+            self._pending = tail_ks[take:]
+            self._feedback = piece if self._encrypting else data[end:]
         else:
             self._pending = b""
         self._register = reg

@@ -8,18 +8,25 @@ probes key on:
 * ``chacha20-ietf`` — RFC 8439 variant, 12-byte nonce
 * ``aes-{128,192,256}-{ctr,cfb}`` — 16-byte IV
 * ``rc4-md5``       — 16-byte IV, RC4 keyed by MD5(key || IV)
+
+A session's cipher comes from ``new_stream_cipher``.  Its key is the raw
+master key, or the :func:`stream_key` built from it once per key owner:
+for the AES methods that is the expanded key schedule, which every
+session of the owner then shares.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Union
 
 from ._xor import xor_bytes
+from .aes import AES
 from .chacha20 import _M, ChaCha20, _KeystreamCipher, _key_words
 from .modes import CFBMode, CTRMode
 
-__all__ = ["RC4", "ChaCha20DJB", "new_stream_cipher"]
+__all__ = ["RC4", "ChaCha20DJB", "new_stream_cipher", "stream_key"]
 
 
 class RC4:
@@ -78,11 +85,19 @@ class ChaCha20DJB(_KeystreamCipher):
                 for c in range(counter, counter + nblocks)]
 
 
-def new_stream_cipher(name: str, key: bytes, iv: bytes, encrypt: bool):
+def stream_key(name: str, key: bytes) -> Union[bytes, AES]:
+    """What every stream session of one key owner passes to
+    ``new_stream_cipher``: the expanded key schedule for the AES methods,
+    ``key`` itself for the others."""
+    return AES(key) if name.startswith("aes-") else key
+
+
+def new_stream_cipher(name: str, key: Union[bytes, AES], iv: bytes, encrypt: bool):
     """Build an incremental stream cipher object for one direction.
 
-    ``encrypt`` only matters for CFB, whose feedback register differs by
-    direction; CTR/ChaCha/RC4 are symmetric.
+    ``key`` is the raw key or its :func:`stream_key`.  ``encrypt`` only
+    matters for CFB, whose feedback register differs by direction;
+    CTR/ChaCha/RC4 are symmetric.
     """
     if name == "chacha20":
         return ChaCha20DJB(key, iv)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis import (
@@ -86,10 +87,23 @@ class ShadowsocksExperimentResult:
     world: World
     config: ShadowsocksExperimentConfig
     probe_log: List[ProbeRecord]
-    server_probes: Dict[str, List[ObservedProbe]]  # per server name
     control_probe_count: int
     connections_made: int
     pipeline: AnalysisPipeline
+
+    @cached_property
+    def server_probes(self) -> Dict[str, List[ObservedProbe]]:
+        """Per server name, the probes its capture classifier found.
+
+        Built when first read: a scenario run reads only the counts of
+        the pipeline's finalize pass, which classifies the probes once.
+        """
+        out: Dict[str, List[ObservedProbe]] = {}
+        for name, analyzer in self.pipeline.analyzers.items():
+            if name.startswith("server:"):
+                assert isinstance(analyzer, CaptureProbeClassifier)
+                out[name[len("server:"):]] = analyzer.probes()
+        return out
 
     @property
     def probes_by_type(self) -> Dict[str, int]:
@@ -181,11 +195,6 @@ def run_shadowsocks_experiment(
     # Run past the nominal duration so delayed replays drain.
     settle(world, config.duration, drain=1.25)
 
-    server_probes: Dict[str, List[ObservedProbe]] = {}
-    for name, _server in servers:
-        classifier = pipeline.analyzers[f"server:{name}"]
-        assert isinstance(classifier, CaptureProbeClassifier)
-        server_probes[name] = classifier.probes()
     control_syns = pipeline.analyzers["control_syns"]
     assert isinstance(control_syns, SynCount)
 
@@ -193,7 +202,6 @@ def run_shadowsocks_experiment(
         world=world,
         config=config,
         probe_log=list(world.gfw.probe_log),
-        server_probes=server_probes,
         control_probe_count=control_syns.count,
         connections_made=len(drivers) * config.connections_per_pair,
         pipeline=pipeline,

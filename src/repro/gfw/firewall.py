@@ -75,11 +75,6 @@ class GreatFirewall(Middlebox):
             mask = (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF if prefix else 0
             self._inside_masks.append((base, mask))
         self._inside_cache: dict = {}
-        # Directional 4-tuple -> canonical connection key.  ``conn_key``
-        # builds two tuples and sorts them per segment; single-segment
-        # sensor entries hit this memo instead.  Bounded like the inside
-        # cache: dropping it costs recomputation, never correctness.
-        self._conn_key_cache: dict = {}
         self.rng = rng or random.Random(0x6F0)
 
         # Detector layer: the spec wins when given; otherwise the
@@ -155,17 +150,6 @@ class GreatFirewall(Middlebox):
             self._inside_cache[ip] = cached
         return cached
 
-    def _conn_key(self, seg: Segment):
-        """Memoized :meth:`Segment.conn_key` keyed on the directional flow."""
-        flow = (seg.src_ip, seg.src_port, seg.dst_ip, seg.dst_port)
-        key = self._conn_key_cache.get(flow)
-        if key is None:
-            key = seg.conn_key()
-            if len(self._conn_key_cache) >= self.inside_cache_max:
-                self._conn_key_cache.clear()
-            self._conn_key_cache[flow] = key
-        return key
-
     # ------------------------------------------------------------ main path
 
     def _interesting(self, src_ip: str, dst_ip: str) -> bool:
@@ -214,7 +198,7 @@ class GreatFirewall(Middlebox):
             interesting = self._interesting(seg.src_ip, seg.dst_ip)
         if not interesting:
             return [seg]
-        self.flow_table.track_keyed(seg, self._conn_key(seg),
+        self.flow_table.track_keyed(seg, seg.conn_key(),
                                     reliable=self.network.reliable)
         return [seg]
 
@@ -246,7 +230,7 @@ class GreatFirewall(Middlebox):
                     forwarded.append(seg)
             return forwarded
         track_keyed = self.flow_table.track_keyed
-        key = self._conn_key(first)
+        key = first.conn_key()
         reliable = self.network.reliable
         for seg in segs:
             if seg.src_ip in bips or (seg.src_ip, seg.src_port) in bports:

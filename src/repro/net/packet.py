@@ -117,8 +117,11 @@ class Segment:
         return (self.dst_ip, self.dst_port, self.src_ip, self.src_port)
 
     def conn_key(self):
-        """Direction-insensitive connection key."""
-        return tuple(sorted((self.flow(), self.reverse_flow())))
+        """Direction-insensitive connection key: the smaller of the two
+        directional 4-tuples first."""
+        f = (self.src_ip, self.src_port, self.dst_ip, self.dst_port)
+        r = (self.dst_ip, self.dst_port, self.src_ip, self.src_port)
+        return (f, r) if f <= r else (r, f)
 
 
 _SEGMENT_FIELDS = frozenset(Segment.__dataclass_fields__)

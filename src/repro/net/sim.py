@@ -40,8 +40,14 @@ class Event:
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "weight")
 
     def cancel(self) -> None:
-        """Skip the callback if it has not run yet (a no-op after)."""
+        """Skip the callback if it has not run yet (a no-op after).
+
+        The loop never calls a cancelled event, so the callback and its
+        arguments are dropped at once: a cancelled timer does not keep
+        its owner alive until its time comes.
+        """
         self.cancelled = True
+        self.fn = self.args = None
 
 
 class Simulator:

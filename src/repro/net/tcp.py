@@ -361,6 +361,11 @@ class TcpConnection:
             self._cancel_retx()
             self.host.forget(self)
             self.on_closed()
+            # A closed connection delivers nothing more; dropping the app's
+            # callbacks breaks the connection <-> session cycle, so the
+            # session is freed by reference counting.
+            self.on_connected = self.on_data = self.on_remote_fin = _noop
+            self.on_reset = self.on_closed = _noop
 
     def _pump(self) -> None:
         """Send as much buffered data as the peer's window allows."""

@@ -141,14 +141,26 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
     ``seal`` and ``open`` MB/s (AEAD messages are sealed in 16 KiB
     chunks, the shape of Shadowsocks AEAD tunnel traffic at max payload).
     ``seal_chunks`` seals ChaCha20-Poly1305 chunks of 64-576 B with their
-    length records, the shape of the simulated tunnels' traffic.
+    length records, the shape of the simulated tunnels' traffic.  Two
+    entries have the shape of the §5.1 random probes a server answers:
+    ``probe_keystreams``, AES-256-CTR sessions of 1-13 blocks sharing one
+    key schedule (MB/s), and ``probe_opens``, AES-128-GCM opens of an
+    18-byte ``[len][tag]`` record under a fresh key that fail (opens/s).
     ``only`` substring-filters cipher names.
 
     The AEAD record memo is disabled for the duration: this suite reports
     primitive throughput, and 16 KiB chunks would otherwise become dict
     hits after the first repeat.
     """
-    from repro.crypto import CIPHERS, CipherKind, new_aead, new_stream_cipher
+    from repro.crypto import (
+        AESGCM,
+        CIPHERS,
+        AuthenticationError,
+        CipherKind,
+        new_aead,
+        new_stream_cipher,
+        stream_key,
+    )
     from repro.crypto import recordcache
 
     rng = random.Random(0xBE7C4)
@@ -259,6 +271,52 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
                 name="crypto.chacha20-ietf-poly1305.seal_chunks", unit="MB/s",
                 value=_best_of(seal_chunks, repeats) / 1e6,
                 params={"size": size, "payload": [64, 576]}))
+        if not only or only in "aes-256-ctr":
+            # A stream server's probe sessions: a fresh IV each, one
+            # shared key schedule, 1-13 blocks (the row-lane AES loop and
+            # the single-block T-table loop).
+            if progress:
+                progress("crypto: aes-256-ctr probe keystreams")
+            probe_rng = random.Random(0x5E55)
+            shared = stream_key("aes-256-ctr", probe_rng.randbytes(32))
+            probes = []
+            pos = 0
+            while pos < size:
+                piece = data[pos : pos + probe_rng.randint(1, 208)]
+                probes.append((probe_rng.randbytes(16), piece))
+                pos += len(piece)
+
+            def probe_keystreams() -> int:
+                for iv, piece in probes:
+                    new_stream_cipher("aes-256-ctr", shared, iv, False).process(piece)
+                return size
+
+            entries.append(BenchEntry(
+                name="crypto.aes-256-ctr.probe_keystreams", unit="MB/s",
+                value=_best_of(probe_keystreams, repeats) / 1e6,
+                params={"size": size, "payload": [1, 208]}))
+        if not only or only in "aes-128-gcm":
+            # An AEAD server's first open of a probe: a fresh subkey, and
+            # a [len][tag] record whose tag fails (the 4-bit GHASH table).
+            if progress:
+                progress("crypto: aes-128-gcm probe opens")
+            open_rng = random.Random(0x0FE2)
+            opens = [(open_rng.randbytes(16), open_rng.randbytes(18))
+                     for _ in range(size // 64)]
+            nonce = bytes(12)
+
+            def probe_opens() -> int:
+                for key, record in opens:
+                    try:
+                        AESGCM(key).open(nonce, record)
+                    except AuthenticationError:
+                        pass
+                return len(opens)
+
+            entries.append(BenchEntry(
+                name="crypto.aes-128-gcm.probe_opens", unit="opens/s",
+                value=_best_of(probe_opens, repeats),
+                params={"opens": len(opens), "record": 18}))
     finally:
         recordcache.set_enabled(memo_was)
     return _stamp(entries)

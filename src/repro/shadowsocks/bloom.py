@@ -27,19 +27,26 @@ class BloomFilter:
         self._array = bytearray((bits + 7) // 8)
         self.count = 0
 
-    def _positions(self, item: bytes):
+    def _positions(self, item: bytes) -> list:
         digest = hashlib.sha256(item).digest()
-        for i in range(self.hashes):
-            chunk = digest[4 * i : 4 * i + 4]
-            yield int.from_bytes(chunk, "big") % self.bits
+        return [int.from_bytes(digest[4 * i : 4 * i + 4], "big") % self.bits
+                for i in range(self.hashes)]
 
-    def add(self, item: bytes) -> None:
-        for pos in self._positions(item):
+    def _has(self, positions: list) -> bool:
+        """True if every bit is set; stops at the first clear one."""
+        array = self._array
+        return all(array[pos // 8] & (1 << (pos % 8)) for pos in positions)
+
+    def _set(self, positions: list) -> None:
+        for pos in positions:
             self._array[pos // 8] |= 1 << (pos % 8)
         self.count += 1
 
+    def add(self, item: bytes) -> None:
+        self._set(self._positions(item))
+
     def __contains__(self, item: bytes) -> bool:
-        return all(self._array[pos // 8] & (1 << (pos % 8)) for pos in self._positions(item))
+        return self._has(self._positions(item))
 
 
 class PingPongBloom:
@@ -53,10 +60,16 @@ class PingPongBloom:
         self._standby: Optional[BloomFilter] = None
 
     def check_and_add(self, item: bytes) -> bool:
-        """Return True if ``item`` was (probably) seen before; record it."""
-        seen = item in self._active or (self._standby is not None and item in self._standby)
+        """Return True if ``item`` was (probably) seen before; record it.
+
+        Both filters have the same size and hash count, so the item is
+        hashed once for the lookups and the insert.
+        """
+        positions = self._active._positions(item)
+        seen = self._active._has(positions) or (
+            self._standby is not None and self._standby._has(positions))
         if not seen:
-            self._active.add(item)
+            self._active._set(positions)
             if self._active.count >= self.capacity:
                 self._standby = self._active
                 self._active = BloomFilter(self._bits, self._hashes)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from ..crypto import AuthenticationError, evp_bytes_to_key, get_spec
+from ..crypto import AuthenticationError, evp_bytes_to_key, get_spec, stream_key
 from ..crypto.registry import CipherKind
 from .aead_session import AeadDecryptor, AeadEncryptor
 from .spec import encode_target
@@ -43,6 +43,9 @@ class ShadowsocksClient:
         self.method = method
         self.cipher_spec = get_spec(method)
         self.master = evp_bytes_to_key(password.encode("utf-8"), self.cipher_spec.key_len)
+        # Shared by every stream session, like the server's.
+        self.stream_key = (stream_key(method, self.master)
+                           if self.cipher_spec.kind == CipherKind.STREAM else None)
         self.rng = rng or random.Random(0xC11E)
         self.merge_header = merge_header
 
@@ -71,8 +74,8 @@ class ClientSession:
 
         kind = client.cipher_spec.kind
         if kind == CipherKind.STREAM:
-            self._encryptor = StreamEncryptor(client.method, client.master, rng=client.rng)
-            self._decryptor = StreamDecryptor(client.method, client.master)
+            self._encryptor = StreamEncryptor(client.method, client.stream_key, rng=client.rng)
+            self._decryptor = StreamDecryptor(client.method, client.stream_key)
         else:
             self._encryptor = AeadEncryptor(client.method, client.master, rng=client.rng)
             self._decryptor = AeadDecryptor(client.method, client.master)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..crypto import AuthenticationError, evp_bytes_to_key, get_spec
+from ..crypto import AuthenticationError, evp_bytes_to_key, get_spec, stream_key
 from ..crypto.registry import CipherKind
 from .aead_session import AeadDecryptor, AeadEncryptor
 from .implementations.base import BehaviorProfile, ErrorAction
@@ -61,6 +61,10 @@ class ShadowsocksServer:
         if self.cipher_spec.kind == CipherKind.AEAD and not self.profile.supports_aead:
             raise ValueError(f"{self.profile.display} does not support AEAD ciphers")
         self.master = evp_bytes_to_key(password.encode("utf-8"), self.cipher_spec.key_len)
+        # Every stream session's cipher is built from this one key (for
+        # AES, one key schedule); AEAD sessions derive their own subkeys.
+        self.stream_key = (stream_key(method, self.master)
+                           if self.cipher_spec.kind == CipherKind.STREAM else None)
         self.rng = rng or random.Random(0x55AA)
         self.connect_timeout = connect_timeout
         self.dns_delay = dns_delay
@@ -110,7 +114,7 @@ class ServerSession:
 
         kind = server.cipher_spec.kind
         if kind == CipherKind.STREAM:
-            self._decryptor = StreamDecryptor(server.method, server.master)
+            self._decryptor = StreamDecryptor(server.method, server.stream_key)
         else:
             self._decryptor = AeadDecryptor(server.method, server.master)
         self._encryptor = None  # created lazily for the reply direction
@@ -366,7 +370,7 @@ class ServerSession:
             kind = self.server.cipher_spec.kind
             if kind == CipherKind.STREAM:
                 self._encryptor = StreamEncryptor(
-                    self.server.method, self.server.master, rng=self.server.rng
+                    self.server.method, self.server.stream_key, rng=self.server.rng
                 )
             else:
                 self._encryptor = AeadEncryptor(

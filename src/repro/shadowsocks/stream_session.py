@@ -7,14 +7,18 @@ Wire format, each direction::
 Client and server share the EVP_BytesToKey-derived master key but use
 independent random IVs.  There is no integrity protection — the property
 every replay/byte-change probe in the paper exploits.
+
+Both directions take ``key`` as the master key or its
+:func:`~repro.crypto.stream_key`, which a server or client builds once
+and hands to all of its sessions.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Optional, Union
 
-from ..crypto import evp_bytes_to_key, get_spec, new_stream_cipher
+from ..crypto import AES, evp_bytes_to_key, get_spec, new_stream_cipher
 from ..crypto.registry import CipherKind
 from ..randutil import byte_draws
 
@@ -29,7 +33,8 @@ def master_key(password: str, method: str) -> bytes:
 class StreamEncryptor:
     """One direction of a stream-construction session (sending side)."""
 
-    def __init__(self, method: str, key: bytes, rng: Optional[random.Random] = None,
+    def __init__(self, method: str, key: Union[bytes, AES],
+                 rng: Optional[random.Random] = None,
                  iv: Optional[bytes] = None):
         spec = get_spec(method)
         if spec.kind != CipherKind.STREAM:
@@ -61,7 +66,7 @@ class StreamDecryptor:
     so far.  The IV is consumed from the head of the stream.
     """
 
-    def __init__(self, method: str, key: bytes):
+    def __init__(self, method: str, key: Union[bytes, AES]):
         spec = get_spec(method)
         if spec.kind != CipherKind.STREAM:
             raise ValueError(f"{method} is not a stream method")

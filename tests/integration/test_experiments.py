@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import CaptureProbeClassifier
 from repro.experiments import (
     BlockingExperimentConfig,
     BrdgrdExperimentConfig,
@@ -13,6 +14,7 @@ from repro.experiments import (
     run_sink_experiment,
 )
 from repro.gfw import ProbeType
+from repro.runtime import run_scenario
 
 
 SMALL_SS = ShadowsocksExperimentConfig(connections_per_pair=120,
@@ -118,3 +120,21 @@ def test_blocking_exp_only_vulnerable_blocked():
     assert set(res.blocked_profiles) <= {"ssr", "ss-python", "outline-1.0.6"}
     # Everyone got probed, few got blocked — the §6 asymmetry.
     assert len(res.probes_per_server) == len(res.server_profiles)
+
+
+def test_shadowsocks_scenario_classifies_each_capture_once(monkeypatch):
+    """A scenario run classifies each server's probes in the finalize
+    pass alone; ``server_probes`` is built only when read."""
+    calls = {}
+    probes = CaptureProbeClassifier.probes
+
+    def counting(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return probes(self)
+
+    monkeypatch.setattr(CaptureProbeClassifier, "probes", counting)
+    result = run_scenario("shadowsocks", seed=3, use_cache=False,
+                          overrides={"connections_per_pair": 12,
+                                     "duration": 4 * 3600.0})
+    assert len(result.payload["server_probes"]) == len(calls) == 3
+    assert set(calls.values()) == {1}

@@ -1,13 +1,15 @@
 """Optimized crypto vs the textbook reference: byte-identical for every cipher.
 
-The optimized implementations (T-table and byte-sliced AES batches,
-table-driven GHASH, batched CTR/CFB/ChaCha keystream, chunked Poly1305)
-must be indistinguishable from the originals kept in
+The optimized implementations (T-table, row-lane and byte-sliced AES
+batches, table-driven GHASH, batched CTR/CFB/ChaCha keystream, chunked
+Poly1305) must be indistinguishable from the originals kept in
 ``tests/crypto_reference.py`` — over random keys, nonces, message sizes,
 and arbitrary chunked-vs-whole call patterns, through both the direct
-classes and the ``new_aead``/``new_stream_cipher`` factories.  Pinned
-examples add the sizes random draws never reach: lane and block edges,
-the largest AEAD chunk, one block either side of the AES sliced cut, and
+classes and the ``new_aead``/``new_stream_cipher`` factories.  Every AES
+batch size from one block to two past the sliced cut is compared
+directly.  Pinned examples add the sizes random draws never reach: lane
+and block edges, the largest AEAD chunk, one block either side of the
+AES sliced cut, and
 ChaCha20 batches either side of its lane cut (the row-packed loop at
 ``LANE_MIN_BLOCKS - 1`` blocks, the lane-packed loop at
 ``LANE_MIN_BLOCKS``).  ChaCha20 batches of 511 and 513 blocks sat either
@@ -44,7 +46,7 @@ from repro.crypto import (
     new_stream_cipher,
     poly1305_mac,
 )
-from repro.crypto import recordcache
+from repro.crypto import gcm, recordcache, stream_key
 from repro.crypto.aes import AES, SLICED_MIN_BLOCKS
 from repro.crypto.chacha20 import LANE_MIN_BLOCKS, _keystream
 from repro.shadowsocks.aead_session import MAX_CHUNK, AeadEncryptor, aead_master_key
@@ -129,9 +131,28 @@ def test_aes_block_matches_reference(key, block):
     assert AES(key).encrypt_block(block) == ref.ReferenceAES(key).encrypt_block(block)
 
 
+@pytest.mark.parametrize("key_len", [16, 24, 32])
+def test_aes_batches_match_reference_at_every_size(key_len):
+    """One block (the T-table loop), every row-lane batch size, and the
+    first two byte-sliced sizes."""
+    rng = random.Random(key_len)
+    key = rng.randbytes(key_len)
+    fast, slow = AES(key), ref.ReferenceAES(key)
+    blocks = rng.randbytes(16 * (SLICED_MIN_BLOCKS + 2))
+    expected = b"".join(slow.encrypt_block(blocks[i : i + 16])
+                        for i in range(0, len(blocks), 16))
+    for nb in range(1, SLICED_MIN_BLOCKS + 3):
+        assert fast.encrypt_blocks(blocks[: 16 * nb]) == expected[: 16 * nb], nb
+
+
+# Probe-sized streams: a partial block, 2 and 13 blocks with and without
+# a tail (CFB decryption batches the tail's block with the full ones).
+PROBE_SIZES = (5, 32, 37, 208, 221)
+
+
 @given(key=aes_keys, iv=ivs16, data=messages, fractions=cuts)
-@_at_sizes(AES_CUT_SIZES, "data", key=bytes(range(32)), iv=bytes(range(16)),
-          fractions=[])
+@_at_sizes(AES_CUT_SIZES + PROBE_SIZES, "data", key=bytes(range(32)),
+          iv=bytes(range(16)), fractions=[])
 @settings(max_examples=40, deadline=None)
 def test_ctr_matches_reference_chunked(key, iv, data, fractions):
     chunks = _chunked(data, fractions)
@@ -143,9 +164,9 @@ def test_ctr_matches_reference_chunked(key, iv, data, fractions):
 
 @given(key=aes_keys, iv=ivs16, data=messages, fractions=cuts,
        encrypt=st.booleans())
-# Decryption batches every full block through ``AES.encrypt_blocks``.
-@_at_sizes(AES_CUT_SIZES, "data", key=bytes(range(16)), iv=bytes(range(16)),
-          fractions=[], encrypt=False)
+# Decryption batches every block through ``AES.encrypt_blocks``.
+@_at_sizes(AES_CUT_SIZES + PROBE_SIZES, "data", key=bytes(range(16)),
+          iv=bytes(range(16)), fractions=[], encrypt=False)
 @settings(max_examples=40, deadline=None)
 def test_cfb_matches_reference_chunked(key, iv, data, fractions, encrypt):
     chunks = _chunked(data, fractions)
@@ -247,6 +268,51 @@ def test_gcm_matches_reference(key, nonce, plaintext, aad):
     # Reuse the same object: exercises the lazy GHASH-table upgrade on
     # cumulative bytes, which must not change any output.
     assert fast.seal(nonce, plaintext, aad) == sealed
+
+
+@pytest.mark.parametrize("name", ["aes-128-ctr", "aes-192-cfb", "aes-256-cfb"])
+@given(iv=ivs16, data=messages, fractions=cuts)
+@settings(max_examples=15, deadline=None)
+def test_shared_key_schedule_matches_reference(name, iv, data, fractions):
+    """Sessions built from one ``stream_key`` (one AES schedule, as a
+    server's sessions share) encrypt and decrypt like fresh references."""
+    key = bytes(range(get_spec(name).key_len))
+    shared = stream_key(name, key)
+    reference = REFERENCE_FACTORIES[name]
+    chunks = _chunked(data, fractions)
+    for encrypt in (True, False):
+        fast = _run_chunked(new_stream_cipher(name, shared, iv, encrypt), chunks)
+        assert fast == _run_chunked(reference(key, iv, encrypt), chunks)
+
+
+field_elements = st.integers(min_value=0, max_value=2**128 - 1) | st.sampled_from(
+    (0, 1, 2**127, 2**128 - 1))
+
+
+@given(h=field_elements, x=field_elements)
+@settings(max_examples=300, deadline=None)
+def test_ghash_4bit_multiply_matches_per_bit(h, x):
+    """Shoup's 4-bit table multiply is the GF(2^128) product."""
+    block = x.to_bytes(16, "big")
+    assert gcm._ghash_nibbles(gcm._build_h_nibbles(h), block) == ref._gf_mult(x, h)
+
+
+def test_gcm_session_crosses_table_threshold():
+    """One reused instance seals 0-3 KiB messages: the first tags hash by
+    4-bit table, later ones through the 16x256 tables once the session
+    passes ``_TABLE_THRESHOLD`` bytes."""
+    rng = random.Random(26)
+    for key_len in (16, 24, 32):
+        key = rng.randbytes(key_len)
+        fast, slow = AESGCM(key), ref.ReferenceAESGCM(key)
+        with _memo_off():
+            for size in (0, 1, 15, 16, 17, 200, 1000, 2047, 2048, 3072, 7, 3000):
+                nonce, aad = rng.randbytes(12), rng.randbytes(size % 40)
+                plaintext = rng.randbytes(size)
+                sealed = fast.seal(nonce, plaintext, aad)
+                assert sealed == slow.seal(nonce, plaintext, aad), (key_len, size)
+                assert fast.open(nonce, sealed, aad) == plaintext
+        assert fast._tables is not None
 
 
 @given(key=keys256, message=st.binary(min_size=0, max_size=3000))

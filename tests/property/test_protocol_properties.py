@@ -12,6 +12,7 @@ from repro.shadowsocks import (
     NEED_MORE,
     AeadDecryptor,
     AeadEncryptor,
+    BloomFilter,
     PingPongBloom,
     StreamDecryptor,
     StreamEncryptor,
@@ -131,3 +132,24 @@ def test_bloom_no_false_negatives(items):
     for item in items:
         bloom.check_and_add(item)
     assert all(item in bloom for item in items)
+
+
+@given(items=st.lists(st.binary(min_size=1, max_size=8), max_size=80))
+@settings(max_examples=40, deadline=None)
+def test_bloom_check_and_add_matches_two_pass(items):
+    """Hashing once per item sets the same bits and gives the same
+    verdicts as a lookup in each filter followed by ``add``, across
+    filter swaps (capacity 7)."""
+    fast = PingPongBloom(capacity=7, bits=512, hashes=6)
+    active, standby = BloomFilter(512, 6), None
+    for item in items:
+        seen = item in active or (standby is not None and item in standby)
+        if not seen:
+            active.add(item)
+            if active.count >= 7:
+                standby, active = active, BloomFilter(512, 6)
+        assert fast.check_and_add(item) == seen
+    assert fast._active._array == active._array
+    assert (fast._standby is None) == (standby is None)
+    if standby is not None:
+        assert fast._standby._array == standby._array

@@ -1,5 +1,8 @@
 """FlowTable eviction invariants: count cap, flag dedup and its sweep."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.gfw import FlowTable
 from repro.net import Flags, Segment, Simulator
 
@@ -174,3 +177,20 @@ def test_firewall_inside_cache_cap_is_separate_hygiene():
     assert sim.bus.count("gfw.cache.inside_cleared") >= 1
     assert len(gfw._inside_cache) <= 4
     assert len(gfw.flow_table) == 1
+
+
+# Few distinct values, so equal addresses and ports (and a connection
+# to itself) come up often.
+flow_ips = st.sampled_from(["192.0.2.1", "192.0.2.10", "198.51.100.1", "10.0.0.2"])
+flow_ports = st.sampled_from([0, 80, 443, 8388, 10000, 65535])
+
+
+@given(src=flow_ips, dst=flow_ips, sport=flow_ports, dport=flow_ports)
+@settings(max_examples=200, deadline=None)
+def test_conn_key_is_the_sorted_flow_pair(src, dst, sport, dport):
+    seg = Segment(src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
+                  flags=Flags.SYN)
+    back = Segment(src_ip=dst, dst_ip=src, src_port=dport, dst_port=sport,
+                   flags=Flags.ACK)
+    assert seg.conn_key() == tuple(sorted((seg.flow(), seg.reverse_flow())))
+    assert seg.conn_key() == back.conn_key()

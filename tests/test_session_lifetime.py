@@ -112,3 +112,23 @@ def test_prober_simulator_keeps_no_session(profile):
     live = [obj for obj in gc.get_objects()
             if type(obj) is ServerSession and obj.server is prober.server]
     assert live == []
+
+
+@pytest.mark.parametrize("profile", ["ss-libev-3.0.8", "ss-libev-3.3.1"])
+def test_probed_session_freed_without_the_collector(profile):
+    """A closed connection drops its callbacks and a cancelled timer its
+    callback, so a probed session is freed by reference counting alone:
+    with the collector off, no weak reference survives the drain."""
+    prober = ProberSimulator(profile, "aes-256-gcm", seed=4)
+    refs = accepted_sessions(prober.server, keep=weakref.ref)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for length in (1, 50, 221):
+            prober.send_random_probe(length)
+        prober.sim.run()
+        assert len(refs) == 3
+        assert all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()

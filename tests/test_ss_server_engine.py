@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.crypto import AES
 from repro.net import Host, Network, Simulator, TcpState
 from repro.shadowsocks import (
     ShadowsocksClient,
@@ -178,3 +179,30 @@ def test_timed_filter_rejects_stale_legitimate_client():
     conn.on_connected = lambda: conn.send(wire)
     sim.run(until=30)
     assert not got
+
+
+def test_stream_server_expands_its_master_key_once(monkeypatch):
+    """A stream server's sessions share one AES key schedule: serving 50
+    connections expands the master key once, when the server is built."""
+    expanded = []
+    expand = AES._expand_key
+
+    def counting(key):
+        expanded.append(bytes(key))
+        return expand(key)
+
+    monkeypatch.setattr(AES, "_expand_key", staticmethod(counting))
+    sim = Simulator()
+    net = Network(sim)
+    server_host = Host(sim, net, "198.51.100.51", "server")
+    client_host = Host(sim, net, "192.0.2.51", "client")
+    server = ShadowsocksServer(server_host, 8388, "pw", "aes-256-cfb")
+    sessions = accepted_sessions(server)
+    for i in range(50):
+        conn = client_host.connect(server_host.ip, 8388)
+        payload = random.Random(i).randbytes(40)  # IV + 24 bytes
+        conn.on_connected = lambda conn=conn, payload=payload: conn.send(payload)
+    sim.run(until=5)
+    assert len(sessions) == 50
+    assert all(session._decryptor.iv_complete for session in sessions)
+    assert expanded.count(server.master) == 1
