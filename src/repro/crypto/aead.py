@@ -109,11 +109,15 @@ _AEADS = {
     "chacha20-ietf-poly1305": ChaCha20Poly1305,
 }
 
-# (name, key) -> instance.  Both AEAD classes are stateless per call —
-# seal/open are pure functions of (nonce, message, aad); the only
-# instance attributes beyond the key are lazily built lookup tables — so
-# sessions deriving the same subkey (HKDF is memoized, and seeded
-# repeats re-derive the same salts) can share one object and its tables.
+# (name, key) -> instance.  Seal and open are pure functions of (key,
+# nonce, message, aad), so sessions deriving the same subkey (HKDF is
+# memoized, and seeded repeats re-derive the same salts) can share one
+# object.  A ChaCha20Poly1305 holds only its key.  An AESGCM also holds
+# its expanded AES, the hash subkey H and ``_hashed``, the running count
+# of GHASH bytes that decides when it builds its 16x256 tables; a shared
+# instance carries that count and those tables across the sessions that
+# share its subkey, which moves when the tables are built but never an
+# output byte.
 _INSTANCE_CACHE: dict = {}
 _INSTANCE_CACHE_MAX = 1 << 12
 

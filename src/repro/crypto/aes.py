@@ -6,12 +6,15 @@ implemented.  One block at a time, SubBytes + ShiftRows + MixColumns are
 fused into four precomputed 32-bit T-tables and the round loop works on
 four column words, several times faster than the byte-oriented FIPS 197
 walk.  ``encrypt_blocks`` is the one batch function (CTR and GCM
-keystreams, CFB decryption).  A single block runs the T-table loop.
-Batches from 2 blocks up to ``SLICED_MIN_BLOCKS`` (every probe and short
-record) run row-lane rounds: the whole batch is one int and each round a
-few dozen whole-int operations.  Larger batches run byte-sliced rounds,
-one int per byte position.  All three are property-tested byte-identical
-to the textbook cipher in ``tests/crypto_reference.py``.
+keystreams, CFB decryption).  A single block runs the T-table loop;
+every batch of 2 blocks or more runs row-lane rounds: the whole batch is
+one int and each round a few dozen whole-int operations.  One batch
+loop is enough because the simulated traffic is short: the benchmark
+workloads' batches (§5.1 probes) are 2-13 blocks, and no scenario,
+figure benchmark or example makes one above 32.  Only the bulk entries
+of ``repro bench --suite crypto`` run larger batches.  Both loops are
+property-tested byte-identical to the textbook cipher in
+``tests/crypto_reference.py``.
 """
 
 from __future__ import annotations
@@ -22,15 +25,6 @@ from typing import List, Tuple
 __all__ = ["AES", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 16
-
-# The row-lane rounds cost a few dozen whole-int operations whatever the
-# batch size, while the byte-sliced rounds cost 16 planes' worth of C
-# calls; the sliced loop overtakes from about 120 blocks.  Row-lane time
-# over sliced time on a 2-core x86 host, median (quartiles) of 9 ratios
-# (ECB, AES-128/192/256, three runs): 0.79 (0.74-0.81) at 64 blocks,
-# 0.91 (0.87-0.94) at 96, 0.97 (0.91-1.02) at 112, 1.04 (0.93-1.21) at
-# 128, 1.13 (1.06-1.17) at 160.
-SLICED_MIN_BLOCKS = 120
 
 _MASK128 = (1 << 128) - 1
 
@@ -93,14 +87,8 @@ def _build_ttables() -> Tuple[List[int], List[int], List[int], List[int]]:
 
 _T0, _T1, _T2, _T3 = _build_ttables()
 
-# ``translate`` tables: S for both batch loops, 2·S (T0's top byte) for
-# the byte-sliced one.
+# The row-lane loop's SubBytes is one ``translate`` through S.
 _SBOX_BYTES = bytes(_SBOX)
-_DBL_BYTES = bytes(_T0[x] >> 24 for x in range(256))
-
-# ShiftRows as a renaming of byte planes: byte 4c + r of the shifted
-# state is byte 4((c + r) mod 4) + r of the input.
-_SHIFT_ROWS = [4 * ((i // 4 + i % 4) % 4) + i % 4 for i in range(16)]
 
 
 def _lane_pattern(keep) -> bytes:
@@ -219,17 +207,14 @@ class AES:
         """ECB-encrypt a buffer of concatenated 16-byte blocks.
 
         The blocks are independent, so they are one batch: a single block
-        runs the T-table loop, batches below ``SLICED_MIN_BLOCKS`` the
-        row-lane rounds, larger ones the byte-sliced rounds.
+        runs the T-table loop, any larger batch the row-lane rounds.
         """
         if len(blocks) % BLOCK_SIZE:
             raise ValueError("buffer must be a multiple of 16 bytes")
         nb = len(blocks) // BLOCK_SIZE
         if nb == 1:
             return bytearray(self.encrypt_block(blocks))
-        if nb < SLICED_MIN_BLOCKS:
-            return self._encrypt_lanes(blocks, nb)
-        return self._encrypt_sliced(blocks, nb)
+        return self._encrypt_lanes(blocks, nb)
 
     def _keys(self) -> List[bytes]:
         """The round keys as 16-byte strings, in block byte order."""
@@ -273,40 +258,3 @@ class AES:
                 x ^= t ^ ((a & low7) << 1) ^ ((a >> 7) & bit0) * 0x1B
             x ^= keys[rnd]
         return bytearray(x.to_bytes(size, "little"))
-
-    def _encrypt_sliced(self, blocks, nb: int) -> bytearray:
-        """Byte-sliced rounds: plane *i* is byte *i* of every block, held
-        as one little-endian int, and each round runs once over all
-        planes.  SubBytes and the MixColumns doubling are ``translate``
-        calls through S and 2·S, ShiftRows renames planes, and MixColumns
-        and AddRoundKey are XORs of whole planes (a round-key byte times
-        ``0x0101...01`` is that byte in every block).
-        """
-        out = bytearray(len(blocks))
-        ones = int.from_bytes(b"\x01" * nb, "little")
-        keys = self._keys()
-        from_bytes, sbox, dbl = int.from_bytes, _SBOX_BYTES, _DBL_BYTES
-        planes = [from_bytes(blocks[i::16], "little") ^ keys[0][i] * ones
-                  for i in range(16)]
-        for k in keys[1:-1]:
-            shifted = [planes[j].to_bytes(nb, "little") for j in _SHIFT_ROWS]
-            s = [from_bytes(p.translate(sbox), "little") for p in shifted]
-            d = [from_bytes(p.translate(dbl), "little") for p in shifted]
-            # MixColumns, row r of a column (indices mod 4):
-            # 2·s_r ^ 3·s_r+1 ^ s_r+2 ^ s_r+3 = d_r ^ d_r+1 ^ s_r ^ t,
-            # where d = 2·s and t is the XOR of the column's four s.
-            planes = []
-            for c in range(0, 16, 4):
-                s0, s1, s2, s3 = s[c : c + 4]
-                d0, d1, d2, d3 = d[c : c + 4]
-                t = s0 ^ s1 ^ s2 ^ s3
-                planes += (d0 ^ d1 ^ t ^ s0 ^ k[c] * ones,
-                           d1 ^ d2 ^ t ^ s1 ^ k[c + 1] * ones,
-                           d2 ^ d3 ^ t ^ s2 ^ k[c + 2] * ones,
-                           d3 ^ d0 ^ t ^ s3 ^ k[c + 3] * ones)
-        # Final round: SubBytes + ShiftRows + AddRoundKey.
-        k = keys[-1]
-        for i, j in enumerate(_SHIFT_ROWS):
-            plane = from_bytes(planes[j].to_bytes(nb, "little").translate(sbox), "little")
-            out[i::16] = (plane ^ k[i] * ones).to_bytes(nb, "little")
-        return out

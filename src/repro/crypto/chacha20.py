@@ -11,33 +11,26 @@ block's words sit in 64-bit lanes of Python ints (the 32-bit word over
 neighbouring lane land in the guard bits, and masking with the lane
 mask clears them, so one big-int operation does the same 32-bit
 arithmetic for every lane and the bytes are those of the per-block
-definition.  Words 0-11 (constants and key) are the same in every
-block; words 12-15 (counter and nonce) are packed per block, so the
-blocks of one batch may belong to different nonces, and one call seals
-both records of a Shadowsocks chunk (each a Poly1305 key block and its
-keystream blocks).
+definition.  The state is packed by *row*: four ints, row ``r`` holding
+words 4r..4r+3 as four segments of one lane per block.  A column round
+is one quarter-round on the four rows, and a diagonal round is the same
+quarter-round after rotating rows 1, 2 and 3 by one, two and three
+whole segments (RFC 8439 §2.3): 80 operations per double round.  Words
+0-11 (constants and key) are the same in every block; words 12-15
+(counter and nonce) are packed per block, so the blocks of one batch
+may belong to different nonces, and one call seals both records of a
+Shadowsocks chunk (each a Poly1305 key block and its keystream blocks).
 
-The batch size picks one of two packings.  A big-int operation costs
-little more for a few lanes than for one, so a small batch pays for the
-number of operations, and a large one for their width:
-
-* Below ``LANE_MIN_BLOCKS`` the state is packed by *row*: four ints,
-  row ``r`` holding words 4r..4r+3 as four segments of one lane per
-  block.  A column round is one quarter-round on the four rows, and a
-  diagonal round is the same quarter-round after rotating rows 1, 2
-  and 3 by one, two and three whole segments (RFC 8439 §2.3): 80
-  operations per double round.  The chunk seals of the simulated
-  tunnels (2-10 blocks) and the failed opens of random probes run here.
-* From ``LANE_MIN_BLOCKS`` up the state is packed by *word*: sixteen
-  ints, one per state word, and the double round is the eight
-  quarter-rounds unrolled, 224 operations on ints a quarter the width.
-  The 16 KiB records of a tunnel at full payload (257 blocks) and bulk
-  stream-cipher traffic run here.
-
-Neither packing wins at both ends, so both stay: at 32 to 4,096 blocks
-the row loop runs at 0.7-0.9x the lane loop, and cutting such a batch
-into 29-block row calls at 0.6-0.8x.  The incremental ciphers consume
-the keystream through a cursor and XOR whole buffers at a time.
+A big-int operation costs little more for a few lanes than for one, so
+a small batch pays for the number of operations, not their width.
+Every batch the simulated traffic makes is small: the benchmark
+workloads' chunk seals and failed probe opens are 2-10 blocks, and no
+scenario, figure benchmark or example makes one above 11.  So one loop
+serves every size; packing by *word* (sixteen ints, 224 operations per
+double round on ints a quarter the width) would win only from about 30
+blocks, which only the bulk entries of ``repro bench --suite crypto``
+reach.  The incremental ciphers consume the keystream through a cursor
+and XOR whole buffers at a time.
 """
 
 from __future__ import annotations
@@ -52,14 +45,6 @@ __all__ = ["chacha20_block", "ChaCha20"]
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 _M = 0xFFFFFFFF
 
-# Below this many blocks the row-packed loop runs, from it the
-# lane-packed one.  Lane time over row time on a 2-core x86 host,
-# median of 15 interleaved reps: 1.99 at 2 blocks, 1.73 at 5, 1.56 at
-# 8, 1.57 at 9, 1.20 at 16, 1.15 at 20, 1.07 at 24, 1.06-1.15 at 28
-# and 1.04-1.12 at 29 (three runs), then 0.88 at 30 in all three runs,
-# 0.85-0.89 at 32 and 0.85-0.99 up to 40.
-LANE_MIN_BLOCKS = 30
-
 
 def _lanes(words) -> int:
     """Pack 32-bit ``words`` into one int, one 64-bit lane each."""
@@ -67,7 +52,7 @@ def _lanes(words) -> int:
 
 
 def _row_constants(nblocks: int) -> tuple:
-    """What the row loop needs for a batch of ``nblocks``, built once.
+    """What the row loop needs for a batch of ``nblocks``.
 
     A segment is ``nblocks`` lanes (``seg`` bits).  Returns the lane
     mask of a row, the ones of one segment (a word times it is that word
@@ -82,8 +67,11 @@ def _row_constants(nblocks: int) -> tuple:
     return lane_mask, one, low1, low2, low3, row0
 
 
-# Indexed by batch size: about 60 KB for the 29 row-loop sizes.
-_ROW_CONSTANTS = tuple(_row_constants(n) for n in range(LANE_MIN_BLOCKS))
+# Indexed by batch size, below 30 blocks: about 60 KB, built at import.
+# Every batch a scenario makes (at most 11 blocks) reads its constants
+# here; a larger batch builds them per call, 9% of its time at 30 blocks
+# and 3-4% from 64.
+_ROW_CONSTANTS = tuple(_row_constants(n) for n in range(30))
 
 
 def _keystream(init, tails) -> bytes:
@@ -96,112 +84,54 @@ def _keystream(init, tails) -> bytes:
     words 14-15 (the original DJB variant).  All four words are packed
     per lane, so a batch may mix nonces, and a carry out of any word
     (consecutive nonces 2^32-1 and 2^32) is the caller's to compute.
-    Both round loops are fully unrolled over named locals: list loads
-    and stores and a quarter-round index walk would cost more than the
+    The round loop is unrolled over named locals: list loads and
+    stores and a quarter-round index walk would cost more than the
     arithmetic.
     """
+    # Row r is segments 0-3 = words 4r..4r+3, lane j of a segment being
+    # block j.  Words 12-15 come column-major from ``tails``.
     nblocks = len(tails)
-    if nblocks < LANE_MIN_BLOCKS:
-        # Row r is segments 0-3 = words 4r..4r+3, lane j of a segment
-        # being block j.  Words 12-15 come column-major from ``tails``.
-        m, one, low1, low2, low3, a0 = _ROW_CONSTANTS[nblocks]
-        s1 = 64 * nblocks
-        s2, s3 = 2 * s1, 3 * s1
-        b0 = init[4] * one | init[5] * one << s1 | init[6] * one << s2 | init[7] * one << s3
-        c0 = init[8] * one | init[9] * one << s1 | init[10] * one << s2 | init[11] * one << s3
-        w12, w13, w14, w15 = zip(*tails)
-        d0 = _lanes(w12 + w13 + w14 + w15)
-        a, b, c, d = a0, b0, c0, d0
-        for _ in range(10):
-            # Column round: QR(a, b, c, d) on every column at once.
-            a = (a + b) & m; d ^= a; d = ((d << 16) | (d >> 16)) & m
-            c = (c + d) & m; b ^= c; b = ((b << 12) | (b >> 20)) & m
-            a = (a + b) & m; d ^= a; d = ((d << 8) | (d >> 24)) & m
-            c = (c + d) & m; b ^= c; b = ((b << 7) | (b >> 25)) & m
-            # Diagonal round: segment i of b, c, d takes the word of
-            # column i+1, i+2, i+3 (mod 4), so the same quarter-round
-            # runs QR(0,5,10,15) QR(1,6,11,12) QR(2,7,8,13) QR(3,4,9,14).
-            b = (b >> s1) | ((b & low1) << s3)
-            c = (c >> s2) | ((c & low2) << s2)
-            d = (d >> s3) | ((d & low3) << s1)
-            a = (a + b) & m; d ^= a; d = ((d << 16) | (d >> 16)) & m
-            c = (c + d) & m; b ^= c; b = ((b << 12) | (b >> 20)) & m
-            a = (a + b) & m; d ^= a; d = ((d << 8) | (d >> 24)) & m
-            c = (c + d) & m; b ^= c; b = ((b << 7) | (b >> 25)) & m
-            b = (b >> s3) | ((b & low3) << s1)
-            c = (c >> s2) | ((c & low2) << s2)
-            d = (d >> s1) | ((d & low1) << s3)
-        # Feed-forward, then OR each row with itself shifted down by a
-        # segment less 32 bits: segments 0 and 2 then hold the word
-        # pairs (4r, 4r+1) and (4r+2, 4r+3), lane j being 8 bytes of
-        # block j (the guard bits shifted in are zero).  The four rows
-        # go out as one int; pair p is 64-bit items 2pn..2pn+n-1.
-        rows = 0
-        for r, (x, x0) in enumerate(((a, a0), (b, b0), (c, c0), (d, d0))):
-            x = (x + x0) & m
-            rows |= (x | x >> (s1 - 32)) << 4 * r * s1
-        items = memoryview(rows.to_bytes(128 * nblocks, "little")).cast("Q")
-        out = memoryview(bytearray(64 * nblocks)).cast("Q")
-        for p in range(8):
-            out[p::8] = items[2 * p * nblocks : (2 * p + 1) * nblocks]
-        return out.tobytes()
-    one = int.from_bytes((b"\x01" + bytes(7)) * nblocks, "little")
-    m = one * _M
-    i0, i1, i2, i3, i4, i5, i6, i7, i8, i9, iA, iB = [w * one for w in init]
-    iC, iD, iE, iF = [_lanes(words) for words in zip(*tails)]
-    x0, x1, x2, x3, x4, x5, x6, x7 = i0, i1, i2, i3, i4, i5, i6, i7
-    x8, x9, xA, xB, xC, xD, xE, xF = i8, i9, iA, iB, iC, iD, iE, iF
+    m, one, low1, low2, low3, a0 = (_ROW_CONSTANTS[nblocks] if nblocks < len(_ROW_CONSTANTS)
+                                    else _row_constants(nblocks))
+    s1 = 64 * nblocks
+    s2, s3 = 2 * s1, 3 * s1
+    b0 = init[4] * one | init[5] * one << s1 | init[6] * one << s2 | init[7] * one << s3
+    c0 = init[8] * one | init[9] * one << s1 | init[10] * one << s2 | init[11] * one << s3
+    w12, w13, w14, w15 = zip(*tails)
+    d0 = _lanes(w12 + w13 + w14 + w15)
+    a, b, c, d = a0, b0, c0, d0
     for _ in range(10):
-        # Column round: QR(0,4,8,12) QR(1,5,9,13) QR(2,6,10,14) QR(3,7,11,15)
-        x0 = (x0 + x4) & m; xC ^= x0; xC = ((xC << 16) | (xC >> 16)) & m
-        x8 = (x8 + xC) & m; x4 ^= x8; x4 = ((x4 << 12) | (x4 >> 20)) & m
-        x0 = (x0 + x4) & m; xC ^= x0; xC = ((xC << 8) | (xC >> 24)) & m
-        x8 = (x8 + xC) & m; x4 ^= x8; x4 = ((x4 << 7) | (x4 >> 25)) & m
-        x1 = (x1 + x5) & m; xD ^= x1; xD = ((xD << 16) | (xD >> 16)) & m
-        x9 = (x9 + xD) & m; x5 ^= x9; x5 = ((x5 << 12) | (x5 >> 20)) & m
-        x1 = (x1 + x5) & m; xD ^= x1; xD = ((xD << 8) | (xD >> 24)) & m
-        x9 = (x9 + xD) & m; x5 ^= x9; x5 = ((x5 << 7) | (x5 >> 25)) & m
-        x2 = (x2 + x6) & m; xE ^= x2; xE = ((xE << 16) | (xE >> 16)) & m
-        xA = (xA + xE) & m; x6 ^= xA; x6 = ((x6 << 12) | (x6 >> 20)) & m
-        x2 = (x2 + x6) & m; xE ^= x2; xE = ((xE << 8) | (xE >> 24)) & m
-        xA = (xA + xE) & m; x6 ^= xA; x6 = ((x6 << 7) | (x6 >> 25)) & m
-        x3 = (x3 + x7) & m; xF ^= x3; xF = ((xF << 16) | (xF >> 16)) & m
-        xB = (xB + xF) & m; x7 ^= xB; x7 = ((x7 << 12) | (x7 >> 20)) & m
-        x3 = (x3 + x7) & m; xF ^= x3; xF = ((xF << 8) | (xF >> 24)) & m
-        xB = (xB + xF) & m; x7 ^= xB; x7 = ((x7 << 7) | (x7 >> 25)) & m
-        # Diagonal round: QR(0,5,10,15) QR(1,6,11,12) QR(2,7,8,13) QR(3,4,9,14)
-        x0 = (x0 + x5) & m; xF ^= x0; xF = ((xF << 16) | (xF >> 16)) & m
-        xA = (xA + xF) & m; x5 ^= xA; x5 = ((x5 << 12) | (x5 >> 20)) & m
-        x0 = (x0 + x5) & m; xF ^= x0; xF = ((xF << 8) | (xF >> 24)) & m
-        xA = (xA + xF) & m; x5 ^= xA; x5 = ((x5 << 7) | (x5 >> 25)) & m
-        x1 = (x1 + x6) & m; xC ^= x1; xC = ((xC << 16) | (xC >> 16)) & m
-        xB = (xB + xC) & m; x6 ^= xB; x6 = ((x6 << 12) | (x6 >> 20)) & m
-        x1 = (x1 + x6) & m; xC ^= x1; xC = ((xC << 8) | (xC >> 24)) & m
-        xB = (xB + xC) & m; x6 ^= xB; x6 = ((x6 << 7) | (x6 >> 25)) & m
-        x2 = (x2 + x7) & m; xD ^= x2; xD = ((xD << 16) | (xD >> 16)) & m
-        x8 = (x8 + xD) & m; x7 ^= x8; x7 = ((x7 << 12) | (x7 >> 20)) & m
-        x2 = (x2 + x7) & m; xD ^= x2; xD = ((xD << 8) | (xD >> 24)) & m
-        x8 = (x8 + xD) & m; x7 ^= x8; x7 = ((x7 << 7) | (x7 >> 25)) & m
-        x3 = (x3 + x4) & m; xE ^= x3; xE = ((xE << 16) | (xE >> 16)) & m
-        x9 = (x9 + xE) & m; x4 ^= x9; x4 = ((x4 << 12) | (x4 >> 20)) & m
-        x3 = (x3 + x4) & m; xE ^= x3; xE = ((xE << 8) | (xE >> 24)) & m
-        x9 = (x9 + xE) & m; x4 ^= x9; x4 = ((x4 << 7) | (x4 >> 25)) & m
-    # Feed-forward, with words 2p and 2p+1 sharing each lane: lane j of
-    # pair p is bytes 8p..8p+7 of block j.  Interleaving the eight pairs
-    # as 64-bit items puts the lanes in block order.
-    pairs = (
-        ((x0 + i0) & m) | ((x1 + i1) & m) << 32,
-        ((x2 + i2) & m) | ((x3 + i3) & m) << 32,
-        ((x4 + i4) & m) | ((x5 + i5) & m) << 32,
-        ((x6 + i6) & m) | ((x7 + i7) & m) << 32,
-        ((x8 + i8) & m) | ((x9 + i9) & m) << 32,
-        ((xA + iA) & m) | ((xB + iB) & m) << 32,
-        ((xC + iC) & m) | ((xD + iD) & m) << 32,
-        ((xE + iE) & m) | ((xF + iF) & m) << 32,
-    )
+        # Column round: QR(a, b, c, d) on every column at once.
+        a = (a + b) & m; d ^= a; d = ((d << 16) | (d >> 16)) & m
+        c = (c + d) & m; b ^= c; b = ((b << 12) | (b >> 20)) & m
+        a = (a + b) & m; d ^= a; d = ((d << 8) | (d >> 24)) & m
+        c = (c + d) & m; b ^= c; b = ((b << 7) | (b >> 25)) & m
+        # Diagonal round: segment i of b, c, d takes the word of
+        # column i+1, i+2, i+3 (mod 4), so the same quarter-round
+        # runs QR(0,5,10,15) QR(1,6,11,12) QR(2,7,8,13) QR(3,4,9,14).
+        b = (b >> s1) | ((b & low1) << s3)
+        c = (c >> s2) | ((c & low2) << s2)
+        d = (d >> s3) | ((d & low3) << s1)
+        a = (a + b) & m; d ^= a; d = ((d << 16) | (d >> 16)) & m
+        c = (c + d) & m; b ^= c; b = ((b << 12) | (b >> 20)) & m
+        a = (a + b) & m; d ^= a; d = ((d << 8) | (d >> 24)) & m
+        c = (c + d) & m; b ^= c; b = ((b << 7) | (b >> 25)) & m
+        b = (b >> s3) | ((b & low3) << s1)
+        c = (c >> s2) | ((c & low2) << s2)
+        d = (d >> s1) | ((d & low1) << s3)
+    # Feed-forward, then OR each row with itself shifted down by a
+    # segment less 32 bits: segments 0 and 2 then hold the word pairs
+    # (4r, 4r+1) and (4r+2, 4r+3), lane j being 8 bytes of block j (the
+    # guard bits shifted in are zero).  The four rows go out as one int;
+    # pair p is 64-bit items 2pn..2pn+n-1.
+    rows = 0
+    for r, (x, x0) in enumerate(((a, a0), (b, b0), (c, c0), (d, d0))):
+        x = (x + x0) & m
+        rows |= (x | x >> (s1 - 32)) << 4 * r * s1
+    items = memoryview(rows.to_bytes(128 * nblocks, "little")).cast("Q")
     out = memoryview(bytearray(64 * nblocks)).cast("Q")
-    for p, pair in enumerate(pairs):
-        out[p::8] = memoryview(pair.to_bytes(8 * nblocks, "little")).cast("Q")
+    for p in range(8):
+        out[p::8] = items[2 * p * nblocks : (2 * p + 1) * nblocks]
     return out.tobytes()
 
 

@@ -219,7 +219,7 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
                         name=f"crypto.{spec.name}.{op}", unit="MB/s",
                         value=_best_of(fn, repeats) / 1e6,
                         params=dict(aead_params)))
-        if not only or only in "cfb_encrypt":
+        if not only or only in "aes-128-cfb":
             # Dedicated CFB-encrypt straggler entry (ARCHITECTURE
             # "Batched datapath"): CFB encryption is inherently
             # sequential — keystream block i is E(ciphertext block i-1)
@@ -246,8 +246,8 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
             # Tunnel-shaped chunks: each call seals a 2-byte length
             # record and a 64-576 B payload record under consecutive
             # nonces, as ``AeadEncryptor.encrypt`` does.  That is 4-12
-            # keystream blocks a call, the row-packed ChaCha20 loop; the
-            # 16 KiB chunks above run the lane-packed one.
+            # keystream blocks a call, the size the tunnels make; the
+            # 16 KiB chunks above are 257-block calls.
             if progress:
                 progress("crypto: chacha20-ietf-poly1305 tunnel chunks")
             chunk_rng = random.Random(0xC4C4)

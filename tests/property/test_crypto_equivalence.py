@@ -1,20 +1,23 @@
 """Optimized crypto vs the textbook reference: byte-identical for every cipher.
 
-The optimized implementations (T-table, row-lane and byte-sliced AES
-batches, table-driven GHASH, batched CTR/CFB/ChaCha keystream, chunked
-Poly1305) must be indistinguishable from the originals kept in
+The optimized implementations (T-table and row-lane AES batches,
+table-driven GHASH, batched CTR/CFB/ChaCha keystream, chunked Poly1305)
+must be indistinguishable from the originals kept in
 ``tests/crypto_reference.py`` — over random keys, nonces, message sizes,
 and arbitrary chunked-vs-whole call patterns, through both the direct
-classes and the ``new_aead``/``new_stream_cipher`` factories.  Every AES
-batch size from one block to two past the sliced cut is compared
-directly.  Pinned examples add the sizes random draws never reach: lane
-and block edges, the largest AEAD chunk, one block either side of the
-AES sliced cut, and
-ChaCha20 batches either side of its lane cut (the row-packed loop at
-``LANE_MIN_BLOCKS - 1`` blocks, the lane-packed loop at
-``LANE_MIN_BLOCKS``).  ChaCha20 batches of 511 and 513 blocks sat either
-side of a numpy cut that is gone; they now run the lane loop at bulk
-size.  Batched AEAD seals (one keystream call for several records) are
+classes and the ``new_aead``/``new_stream_cipher`` factories.  Each
+cipher has one batch loop (AES a T-table loop for a single block and
+row-lane rounds for 2 blocks or more), so the pinned sizes check that
+loop where random draws never reach: lane and block edges, the largest
+AEAD chunk, and the batch sizes either side of cuts that once chose a
+second loop.  AES compares every batch from one block to 122 (a
+byte-sliced loop ran from 120) and one of 4,097 blocks, and pins 119
+and 121 blocks for CTR, CFB decryption and GCM.  ChaCha20 pins 29 and
+30 blocks (a lane-packed loop ran from 30; 30 is also the first size
+that builds its row constants per call), 511 and 513 (around a numpy
+cut, gone earlier), and 4,096 blocks for the counter carries: the bulk
+entries of ``repro bench --suite crypto`` run batches this large.
+Batched AEAD seals (one keystream call for several records) are
 compared record by record, and so is the Shadowsocks wire an
 ``AeadEncryptor`` writes.
 """
@@ -47,8 +50,8 @@ from repro.crypto import (
     poly1305_mac,
 )
 from repro.crypto import gcm, recordcache, stream_key
-from repro.crypto.aes import AES, SLICED_MIN_BLOCKS
-from repro.crypto.chacha20 import LANE_MIN_BLOCKS, _keystream
+from repro.crypto.aes import AES
+from repro.crypto.chacha20 import _keystream
 from repro.shadowsocks.aead_session import MAX_CHUNK, AeadEncryptor, aead_master_key
 
 from .. import crypto_reference as ref
@@ -84,22 +87,21 @@ def _message(size):
 
 
 # ChaCha20 sizes random ``messages`` never reach: one block and a byte
-# either side, the largest AEAD chunk (0x3FFF), one batch either side of
-# the lane cut (the row loop below, the lane loop at the cut), and
-# batches of 511 and 513 blocks (the lane loop at bulk size; they sat
-# either side of a numpy cut that is gone).  ``extra_blocks`` is what
-# the cipher adds to the message's blocks: an AEAD record's Poly1305 key
+# either side, the largest AEAD chunk (0x3FFF), batches of 29 and 30
+# blocks (a lane-packed loop once ran from 30; 30 is the first size that
+# builds its row constants per call), and 511 and 513 blocks (either
+# side of a numpy cut, gone earlier).  ``extra_blocks`` is what the
+# cipher adds to the message's blocks: an AEAD record's Poly1305 key
 # takes one.
 def _edge_sizes(extra_blocks=0):
     return (0, 1, 63, 64, 65, 0x3FFF,
-            64 * (LANE_MIN_BLOCKS - 1 - extra_blocks),
-            64 * (LANE_MIN_BLOCKS - extra_blocks),
+            64 * (29 - extra_blocks), 64 * (30 - extra_blocks),
             64 * (511 - extra_blocks), 64 * (513 - extra_blocks))
 
 
-# One AES batch either side of the sliced cut: the T-table loop below,
-# the byte-sliced rounds above.
-AES_CUT_SIZES = (16 * (SLICED_MIN_BLOCKS - 1), 16 * (SLICED_MIN_BLOCKS + 1))
+# AES batches of 119 and 121 blocks, either side of 120, where a
+# byte-sliced loop once took over from the row-lane rounds.
+AES_CUT_SIZES = (16 * 119, 16 * 121)
 
 
 def _at_sizes(sizes, arg, **fixed):
@@ -133,15 +135,16 @@ def test_aes_block_matches_reference(key, block):
 
 @pytest.mark.parametrize("key_len", [16, 24, 32])
 def test_aes_batches_match_reference_at_every_size(key_len):
-    """One block (the T-table loop), every row-lane batch size, and the
-    first two byte-sliced sizes."""
+    """One block (the T-table loop), then the row-lane rounds at every
+    batch size up to 122 (two past 120, where a byte-sliced loop once
+    took over) and at a bulk batch of 4,097 blocks."""
     rng = random.Random(key_len)
     key = rng.randbytes(key_len)
     fast, slow = AES(key), ref.ReferenceAES(key)
-    blocks = rng.randbytes(16 * (SLICED_MIN_BLOCKS + 2))
+    blocks = rng.randbytes(16 * 4097)
     expected = b"".join(slow.encrypt_block(blocks[i : i + 16])
                         for i in range(0, len(blocks), 16))
-    for nb in range(1, SLICED_MIN_BLOCKS + 3):
+    for nb in [*range(1, 123), 4097]:
         assert fast.encrypt_blocks(blocks[: 16 * nb]) == expected[: 16 * nb], nb
 
 
@@ -199,7 +202,9 @@ def test_chacha20_djb_matches_reference_chunked(key, nonce, data, fractions):
     assert fast == slow
 
 
-@pytest.mark.parametrize("nblocks", [5, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 513])
+# 29 and 30 blocks sit either side of the old lane cut, 513 and 4,096
+# are bulk batches (4,096 blocks: a 256 KiB stream of the crypto bench).
+@pytest.mark.parametrize("nblocks", [5, 29, 30, 513, 4096])
 def test_chacha20_ietf_counter_wraps_like_reference(nblocks):
     """Word 12 wraps modulo 2^32 inside one batch."""
     key, nonce = bytes(range(32)), bytes(range(12))
@@ -209,7 +214,7 @@ def test_chacha20_ietf_counter_wraps_like_reference(nblocks):
             == ref.ReferenceChaCha20(key, nonce, counter=counter).process(data))
 
 
-@pytest.mark.parametrize("nblocks", [4, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 513])
+@pytest.mark.parametrize("nblocks", [4, 29, 30, 513, 4096])
 def test_chacha20_djb_counter_carries_into_word_13(nblocks):
     """The DJB variant's 64-bit counter carries from word 12 into 13."""
     key, nonce = bytes(range(32)), bytes(range(8))
@@ -232,15 +237,17 @@ def _mixed_tails(nblocks):
 
 
 @given(key=keys256, tails=st.lists(st.tuples(words32, words32, words32, words32),
-                                   min_size=1, max_size=2 * LANE_MIN_BLOCKS))
-@example(key=bytes(range(32)), tails=_mixed_tails(LANE_MIN_BLOCKS - 1))
-@example(key=bytes(range(32)), tails=_mixed_tails(LANE_MIN_BLOCKS))
+                                   min_size=1, max_size=60))
+# 29 blocks read the import-time row constants, 30 build them per call
+# (and once ran a lane-packed loop).
+@example(key=bytes(range(32)), tails=_mixed_tails(29))
+@example(key=bytes(range(32)), tails=_mixed_tails(30))
 @settings(max_examples=30, deadline=None)
 def test_keystream_matches_reference_blocks(key, tails):
-    """Each block of one ``_keystream`` call, on both sides of the lane
-    cut, is the reference block of its own words 12-15: the tails mix
-    nonces, so a block read from another block's lane or another word's
-    segment fails."""
+    """Each block of one ``_keystream`` call, with its row constants from
+    the import-time table or built per call, is the reference block of
+    its own words 12-15: the tails mix nonces, so a block read from
+    another block's lane or another word's segment fails."""
     init = [*ref._CONSTANTS, *struct.unpack("<8L", key)]
     expected = b"".join(ref._run_rounds([*init, *tail]) for tail in tails)
     assert _keystream(init, tails) == expected
@@ -361,12 +368,10 @@ record_sizes = st.integers(min_value=0, max_value=0x3FFF) | st.sampled_from(
        sizes=st.lists(record_sizes, min_size=1, max_size=6),
        aad=st.binary(max_size=40))
 # Two records under consecutive nonces across a word-13 carry, in one
-# keystream call of LANE_MIN_BLOCKS - 1 and of LANE_MIN_BLOCKS blocks
+# keystream call of 29 and of 30 blocks, either side of the old lane cut
 # (each record adds its Poly1305 key block).
-@example(key=bytes(range(32)), start=2**32 - 1,
-         sizes=[2, 64 * (LANE_MIN_BLOCKS - 4)], aad=b"aad")
-@example(key=bytes(range(32)), start=2**32 - 1,
-         sizes=[2, 64 * (LANE_MIN_BLOCKS - 3)], aad=b"aad")
+@example(key=bytes(range(32)), start=2**32 - 1, sizes=[2, 64 * 26], aad=b"aad")
+@example(key=bytes(range(32)), start=2**32 - 1, sizes=[2, 64 * 27], aad=b"aad")
 @settings(max_examples=15, deadline=None)
 def test_seal_records_matches_reference(fast_cls, slow_cls, key, start, sizes, aad):
     records = [((start + i).to_bytes(12, "little"), _message(size))

@@ -6,8 +6,8 @@ Winter & Lindskog saw it send garbage binary and forged VERSIONS cells
 to Tor bridges.  Whatever arrives, a modeled server must end in one of
 Figure 10's reactions — TIMEOUT, RST, FIN/ACK or DATA — and never raise.
 The probes go to every Shadowsocks profile under every cipher it
-supports (random AES-CTR and AES-CFB payloads longer than ten blocks
-decrypt through the byte-sliced AES batch), both VMess profiles and the
+supports (random AES-CTR and AES-CFB payloads of two blocks or more
+decrypt through the row-lane AES batch), both VMess profiles and the
 three obfs transports.
 """
 

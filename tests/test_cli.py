@@ -223,6 +223,20 @@ def test_bench_shard_suite(tmp_path, capsys):
     assert all(entry["params"]["flows"] == 20000 for entry in doc)
 
 
+def test_bench_crypto_suite_only(tmp_path, capsys):
+    """``--only`` keeps every entry that times the named cipher, the
+    sequential CFB-encrypt entry included."""
+    import json
+
+    assert main(["bench", "--suite", "crypto", "--quick", "--only",
+                 "aes-128-cfb", "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "BENCH_crypto.json").read_text())
+    assert sorted(entry["name"] for entry in doc) == [
+        "crypto.aes-128-cfb.decrypt", "crypto.aes-128-cfb.encrypt",
+        "crypto.cfb_encrypt"]
+    assert all(entry["value"] > 0 for entry in doc)
+
+
 def test_bench_detector_suite(tmp_path, capsys):
     import json
 
