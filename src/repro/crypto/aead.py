@@ -112,12 +112,10 @@ _AEADS = {
 # (name, key) -> instance.  Seal and open are pure functions of (key,
 # nonce, message, aad), so sessions deriving the same subkey (HKDF is
 # memoized, and seeded repeats re-derive the same salts) can share one
-# object.  A ChaCha20Poly1305 holds only its key.  An AESGCM also holds
-# its expanded AES, the hash subkey H and ``_hashed``, the running count
-# of GHASH bytes that decides when it builds its 16x256 tables; a shared
-# instance carries that count and those tables across the sessions that
-# share its subkey, which moves when the tables are built but never an
-# output byte.
+# object.  A ChaCha20Poly1305 holds only its key, an AESGCM its key,
+# its expanded AES and the hash subkey H, and nothing in either changes
+# after construction, so a shared instance carries nothing from one
+# session or run to the next.
 _INSTANCE_CACHE: dict = {}
 _INSTANCE_CACHE_MAX = 1 << 12
 

@@ -29,8 +29,9 @@ scenario, figure benchmark or example makes one above 11.  So one loop
 serves every size; packing by *word* (sixteen ints, 224 operations per
 double round on ints a quarter the width) would win only from about 30
 blocks, which only the bulk entries of ``repro bench --suite crypto``
-reach.  The incremental ciphers consume the keystream through a cursor
-and XOR whole buffers at a time.
+reach.  The incremental ciphers (``ChaCha20`` here, ``ChaCha20DJB`` in
+``stream``) are :class:`~._xor.KeystreamCursor` subclasses that build
+their own words 12-15.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 
-from ._xor import xor_bytes
+from ._xor import KeystreamCursor
 
 __all__ = ["chacha20_block", "ChaCha20"]
 
@@ -169,59 +170,15 @@ def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
     return _keystream(_key_words(key), _ietf_tails(_nonce_words(nonce), counter, 1))
 
 
-class _KeystreamCipher:
-    """Shared cursor machinery for the incremental ChaCha variants.
-
-    Subclasses pass words 0-11 of the state and the first block counter,
-    and build each block's words 12-15 in ``_tails``.  ``process`` keeps
-    unconsumed keystream in a ``bytearray`` drained through a cursor
-    (never re-sliced, so large streams stay linear) and XORs whole
-    buffers at a time.
-    """
+class ChaCha20(KeystreamCursor):
+    """Incremental ChaCha20 keystream XOR, as used for a TCP byte stream."""
 
     _BLOCK = 64
 
-    def __init__(self, init: list, counter: int) -> None:
-        self._init = init
-        self._counter = counter
-        self._ks = bytearray()
-        self._pos = 0
-
-    def _tails(self, counter: int, nblocks: int) -> list:
-        raise NotImplementedError
-
-    def process(self, data: bytes) -> bytes:
-        n = len(data)
-        if not n:
-            return b""
-        if len(self._ks) - self._pos < n:
-            need = n - (len(self._ks) - self._pos)
-            nblocks = (need + self._BLOCK - 1) // self._BLOCK
-            fresh = _keystream(self._init, self._tails(self._counter, nblocks))
-            self._counter += nblocks
-            if self._pos:
-                del self._ks[: self._pos]
-                self._pos = 0
-            self._ks += fresh
-        ks = memoryview(self._ks)[self._pos : self._pos + n]
-        out = xor_bytes(data, ks)
-        ks.release()
-        self._pos += n
-        if self._pos == len(self._ks):
-            self._ks.clear()
-            self._pos = 0
-        return out
-
-    encrypt = process
-    decrypt = process
-
-
-class ChaCha20(_KeystreamCipher):
-    """Incremental ChaCha20 keystream XOR, as used for a TCP byte stream."""
-
     def __init__(self, key: bytes, nonce: bytes, counter: int = 0):
-        super().__init__(_key_words(key), counter)
+        super().__init__(counter)
+        self._init = _key_words(key)
         self._nonce = _nonce_words(nonce)
 
-    def _tails(self, counter: int, nblocks: int) -> list:
-        return _ietf_tails(self._nonce, counter, nblocks)
+    def _blocks(self, counter: int, nblocks: int) -> bytes:
+        return _keystream(self._init, _ietf_tails(self._nonce, counter, nblocks))

@@ -5,14 +5,13 @@ These are the modes used by the Shadowsocks "stream cipher" construction
 object carries keystream state across ``process`` calls, mirroring how a
 Shadowsocks session encrypts a long TCP stream.
 
-CTR generates keystream in batched blocks into a ``bytearray`` consumed
-by cursor (the old ``+=`` on an immutable ``bytes`` was quadratic in a
-single large call) and XORs whole buffers at once.  CFB works
-block-at-a-time; encryption is inherently sequential (each keystream
-block is the cipher of the *previous ciphertext block*), but decryption
-knows all its register values up front — they are the ciphertext blocks
-themselves — so it encrypts them, with the block a partial tail needs,
-as one batch.
+CTR is a :class:`~._xor.KeystreamCursor`, like both ChaCha20 variants:
+it supplies counter-mode blocks and the cursor batches, buffers and
+XORs them.  CFB works block-at-a-time; encryption is inherently
+sequential (each keystream block is the cipher of the *previous
+ciphertext block*), but decryption knows all its register values up
+front — they are the ciphertext blocks themselves — so it encrypts
+them, with the block a partial tail needs, as one batch.
 
 Both modes take the key as bytes or as an expanded :class:`AES`: a key
 owner that opens many sessions under one key (a Shadowsocks server or
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from ._xor import xor_bytes
+from ._xor import KeystreamCursor, xor_bytes
 from .aes import AES, BLOCK_SIZE
 
 __all__ = ["CTRMode", "CFBMode"]
@@ -34,44 +33,22 @@ def _block_cipher(key: Union[bytes, AES]) -> AES:
     return key if isinstance(key, AES) else AES(key)
 
 
-class CTRMode:
+class CTRMode(KeystreamCursor):
     """AES-CTR with a big-endian full-block counter (OpenSSL semantics).
 
     Encryption and decryption are the same operation.
     """
 
+    _BLOCK = BLOCK_SIZE
+
     def __init__(self, key: Union[bytes, AES], iv: bytes):
         if len(iv) != BLOCK_SIZE:
             raise ValueError(f"CTR IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
+        super().__init__(int.from_bytes(iv, "big"))
         self._cipher = _block_cipher(key)
-        self._counter = int.from_bytes(iv, "big")
-        self._ks = bytearray()
-        self._pos = 0
 
-    def process(self, data: bytes) -> bytes:
-        n = len(data)
-        if not n:
-            return b""
-        if len(self._ks) - self._pos < n:
-            need = n - (len(self._ks) - self._pos)
-            nblocks = (need + BLOCK_SIZE - 1) // BLOCK_SIZE
-            fresh = self._cipher.keystream(self._counter, nblocks)
-            self._counter = (self._counter + nblocks) % (1 << 128)
-            if self._pos:
-                del self._ks[: self._pos]
-                self._pos = 0
-            self._ks += fresh
-        ks = memoryview(self._ks)[self._pos : self._pos + n]
-        out = xor_bytes(data, ks)
-        ks.release()
-        self._pos += n
-        if self._pos == len(self._ks):
-            self._ks.clear()
-            self._pos = 0
-        return out
-
-    encrypt = process
-    decrypt = process
+    def _blocks(self, counter: int, nblocks: int) -> bytes:
+        return self._cipher.keystream(counter % (1 << 128), nblocks)
 
 
 class CFBMode:

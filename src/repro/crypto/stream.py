@@ -21,9 +21,9 @@ import hashlib
 import struct
 from typing import Union
 
-from ._xor import xor_bytes
+from ._xor import KeystreamCursor, xor_bytes
 from .aes import AES
-from .chacha20 import _M, ChaCha20, _KeystreamCipher, _key_words
+from .chacha20 import _M, ChaCha20, _key_words, _keystream
 from .modes import CFBMode, CTRMode
 
 __all__ = ["RC4", "ChaCha20DJB", "new_stream_cipher", "stream_key"]
@@ -66,23 +66,26 @@ class RC4:
     decrypt = process
 
 
-class ChaCha20DJB(_KeystreamCipher):
+class ChaCha20DJB(KeystreamCursor):
     """Incremental original-variant ChaCha20 (8-byte nonce).
 
     The block counter is 64 bits wide and fills words 12-13; the nonce
     fills words 14-15.
     """
 
+    _BLOCK = 64
+
     def __init__(self, key: bytes, nonce: bytes):
-        super().__init__(_key_words(key), 0)
+        super().__init__(0)
+        self._init = _key_words(key)
         if len(nonce) != 8:
             raise ValueError(f"DJB ChaCha20 nonce must be 8 bytes, got {len(nonce)}")
         self._nonce = struct.unpack("<2L", nonce)
 
-    def _tails(self, counter: int, nblocks: int) -> list:
+    def _blocks(self, counter: int, nblocks: int) -> bytes:
         n0, n1 = self._nonce
-        return [(c & _M, (c >> 32) & _M, n0, n1)
-                for c in range(counter, counter + nblocks)]
+        return _keystream(self._init, [(c & _M, (c >> 32) & _M, n0, n1)
+                                       for c in range(counter, counter + nblocks)])
 
 
 def stream_key(name: str, key: bytes) -> Union[bytes, AES]:

@@ -219,29 +219,6 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
                         name=f"crypto.{spec.name}.{op}", unit="MB/s",
                         value=_best_of(fn, repeats) / 1e6,
                         params=dict(aead_params)))
-        if not only or only in "aes-128-cfb":
-            # Dedicated CFB-encrypt straggler entry (ARCHITECTURE
-            # "Batched datapath"): CFB encryption is inherently
-            # sequential — keystream block i is E(ciphertext block i-1)
-            # — so unlike CTR/GCM/ChaCha it cannot batch across blocks
-            # and is accepted as-is.  Tracked under its own name so
-            # bench triage sees the acceptance instead of re-deriving
-            # it from the per-cipher entries.
-            if progress:
-                progress("crypto: cfb_encrypt straggler")
-            cfb_key = rng.randbytes(16)
-            cfb_iv = rng.randbytes(16)
-
-            def cfb_enc() -> int:
-                cipher = new_stream_cipher("aes-128-cfb", cfb_key, cfb_iv, True)
-                cipher.process(data)
-                return size
-
-            entries.append(BenchEntry(
-                name="crypto.cfb_encrypt", unit="MB/s",
-                value=_best_of(cfb_enc, repeats) / 1e6,
-                params={"size": size, "cipher": "aes-128-cfb",
-                        "sequential": True}))
         if not only or only in "chacha20-ietf-poly1305":
             # Tunnel-shaped chunks: each call seals a 2-byte length
             # record and a 64-576 B payload record under consecutive
@@ -297,7 +274,7 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
                 params={"size": size, "payload": [1, 208]}))
         if not only or only in "aes-128-gcm":
             # An AEAD server's first open of a probe: a fresh subkey, and
-            # a [len][tag] record whose tag fails (the 4-bit GHASH table).
+            # a [len][tag] record whose tag fails (a 2-block GHASH).
             if progress:
                 progress("crypto: aes-128-gcm probe opens")
             open_rng = random.Random(0x0FE2)

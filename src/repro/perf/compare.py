@@ -86,7 +86,8 @@ def compare_entries(current: List[BenchEntry], baseline: List[BenchEntry],
 
 
 def format_comparison(comparison: Comparison) -> str:
-    """Human-readable table of a comparison, one row per entry."""
+    """Human-readable table of a comparison, one row per entry, then the
+    entry with the lowest ratio (the gate's margin) and the verdict."""
     lines = [f"{'benchmark':<40} {'current':>12} {'baseline':>12} "
              f"{'ratio':>8}  status"]
     for row in comparison.rows:
@@ -95,6 +96,10 @@ def format_comparison(comparison: Comparison) -> str:
         ratio = f"{row['ratio']:.2f}x" if row["ratio"] is not None else "-"
         lines.append(f"{row['name']:<40} {cur:>12} {base:>12} "
                      f"{ratio:>8}  {row['status']}")
+    rated = [row for row in comparison.rows if row["ratio"] is not None]
+    if rated:
+        lowest = min(rated, key=lambda row: row["ratio"])
+        lines.append(f"lowest ratio {lowest['ratio']:.2f}x: {lowest['name']}")
     verdict = ("OK" if comparison.ok
                else f"{len(comparison.regressions)} regression(s)")
     lines.append(f"tolerance {comparison.tolerance:g}: {verdict}")

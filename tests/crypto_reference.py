@@ -143,6 +143,16 @@ def _gf_mult(x: int, y: int) -> int:
     return z
 
 
+def reference_ghash(h: int, data: bytes) -> int:
+    """GHASH of ``data`` under the hash subkey ``h``, a block at a time;
+    a partial last block is zero-padded."""
+    y = 0
+    for i in range(0, len(data), 16):
+        block = data[i : i + 16].ljust(16, b"\x00")
+        y = _gf_mult(y ^ int.from_bytes(block, "big"), h)
+    return y
+
+
 def _eq(a: bytes, b: bytes) -> bool:
     if len(a) != len(b):
         return False
@@ -163,12 +173,7 @@ class ReferenceAESGCM:
         self._h = int.from_bytes(self._aes.encrypt_block(bytes(16)), "big")
 
     def _ghash(self, data: bytes) -> int:
-        y = 0
-        h = self._h
-        for i in range(0, len(data), 16):
-            block = data[i : i + 16].ljust(16, b"\x00")
-            y = _gf_mult(y ^ int.from_bytes(block, "big"), h)
-        return y
+        return reference_ghash(self._h, data)
 
     def _crypt(self, nonce: bytes, data: bytes) -> bytes:
         out = bytearray()

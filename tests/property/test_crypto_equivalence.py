@@ -218,12 +218,10 @@ def test_chacha20_ietf_counter_wraps_like_reference(nblocks):
 def test_chacha20_djb_counter_carries_into_word_13(nblocks):
     """The DJB variant's 64-bit counter carries from word 12 into 13."""
     key, nonce = bytes(range(32)), bytes(range(8))
-    init = [*ref._CONSTANTS, *struct.unpack("<8L", key)]
     counter = 2**32 - 2
     expected = b"".join(ref._chacha20_block_djb(key, counter + i, nonce)
                         for i in range(nblocks))
-    tails = ChaCha20DJB(key, nonce)._tails(counter, nblocks)
-    assert _keystream(init, tails) == expected
+    assert ChaCha20DJB(key, nonce)._blocks(counter, nblocks) == expected
 
 
 words32 = st.integers(min_value=0, max_value=2**32 - 1) | st.sampled_from(
@@ -272,8 +270,7 @@ def test_gcm_matches_reference(key, nonce, plaintext, aad):
     assert sealed == slow.seal(nonce, plaintext, aad)
     assert fast.open(nonce, sealed, aad) == plaintext
     _check_real_open(fast, slow, nonce, sealed, aad, plaintext)
-    # Reuse the same object: exercises the lazy GHASH-table upgrade on
-    # cumulative bytes, which must not change any output.
+    # Reuse the same object: a second seal must not depend on the first.
     assert fast.seal(nonce, plaintext, aad) == sealed
 
 
@@ -299,19 +296,39 @@ field_elements = st.integers(min_value=0, max_value=2**128 - 1) | st.sampled_fro
 @given(h=field_elements, x=field_elements)
 @settings(max_examples=300, deadline=None)
 def test_ghash_4bit_multiply_matches_per_bit(h, x):
-    """Shoup's 4-bit table multiply is the GF(2^128) product."""
+    """GHASH of one block is the GF(2^128) product of the block and H."""
     block = x.to_bytes(16, "big")
-    assert gcm._ghash_nibbles(gcm._build_h_nibbles(h), block) == ref._gf_mult(x, h)
+    assert gcm._ghash(h, block) == ref._gf_mult(x, h)
+
+
+def _ghash_blocks(nblocks):
+    return bytes((i * 167 + 13) & 0xFF for i in range(16 * nblocks))
+
+
+@given(h=field_elements, data=st.integers(min_value=1, max_value=160).flatmap(
+    lambda n: st.binary(min_size=16 * n, max_size=16 * n)))
+# A failed probe open hashes 2 blocks (an 18-byte [len][tag] record), a
+# 193-208 byte record 14 and a 16 KiB record 1,025.  H is that of the
+# all-zero AES-128 key.
+@example(h=0x66E94BD4EF8A2C3B884CFA59CA342B2E, data=_ghash_blocks(2))
+@example(h=0x66E94BD4EF8A2C3B884CFA59CA342B2E, data=_ghash_blocks(14))
+@example(h=0x66E94BD4EF8A2C3B884CFA59CA342B2E, data=_ghash_blocks(1025))
+@settings(max_examples=40, deadline=None)
+def test_ghash_matches_reference(h, data):
+    """The one GHASH equals the per-bit Horner chain over 1-160 blocks."""
+    assert gcm._ghash(h, data) == ref.reference_ghash(h, data)
 
 
 def test_gcm_session_crosses_table_threshold():
-    """One reused instance seals 0-3 KiB messages: the first tags hash by
-    4-bit table, later ones through the 16x256 tables once the session
-    passes ``_TABLE_THRESHOLD`` bytes."""
+    """One reused instance seals 0-3 KiB messages, past the 2,048 hashed
+    bytes at which a session once switched GHASH tables, and no seal or
+    open changes the instance: the AEAD instance memo shares it across
+    sessions, so it must be a pure function of its key."""
     rng = random.Random(26)
     for key_len in (16, 24, 32):
         key = rng.randbytes(key_len)
         fast, slow = AESGCM(key), ref.ReferenceAESGCM(key)
+        before = dict(vars(fast))
         with _memo_off():
             for size in (0, 1, 15, 16, 17, 200, 1000, 2047, 2048, 3072, 7, 3000):
                 nonce, aad = rng.randbytes(12), rng.randbytes(size % 40)
@@ -319,7 +336,9 @@ def test_gcm_session_crosses_table_threshold():
                 sealed = fast.seal(nonce, plaintext, aad)
                 assert sealed == slow.seal(nonce, plaintext, aad), (key_len, size)
                 assert fast.open(nonce, sealed, aad) == plaintext
-        assert fast._tables is not None
+        # The same attribute names, the same AES object and the same H.
+        assert vars(fast) == before
+        assert vars(fast)["_aes"] is before["_aes"]
 
 
 @given(key=keys256, message=st.binary(min_size=0, max_size=3000))

@@ -90,15 +90,15 @@ def test_wrong_aad_rejected():
         box.open(bytes(12), sealed, b"wrong")
 
 
-# Records past the table threshold hash through the 16x256 H tables;
-# they must agree with the per-bit reference GHASH on sizes around the
-# old vector-path boundary (2048 bytes) and on 16 KiB records.
+# Long records must agree with the per-bit reference GHASH on sizes
+# around 2,048 bytes (where a session once switched GHASH tables) and
+# on 16 KiB records.
 
 
 @pytest.fixture
 def no_record_cache():
     # The global record memo would satisfy a seal()/open() from an
-    # earlier identical call, so the table walk would never execute.
+    # earlier identical call, so GHASH would never run.
     from repro.crypto import recordcache
 
     was = recordcache.enabled()
@@ -126,9 +126,9 @@ def test_vector_ghash_matches_scalar(size, no_record_cache):
 
 
 def test_vector_ghash_mixed_sizes_share_tables(no_record_cache):
-    # One instance alternating below/above the table threshold keeps a
-    # single running state machine; the H tables must not depend on
-    # which call built them.
+    # One instance alternating short and long records, either side of
+    # the 2,048 hashed bytes where a session once switched GHASH
+    # tables: no tag may depend on the calls before it.
     key = bytes(16)
     box = AESGCM(key)
     reference = ReferenceAESGCM(key)

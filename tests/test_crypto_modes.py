@@ -48,6 +48,10 @@ def test_ctr_counter_wraps():
     ref0 = CTRMode(KEY128, iv).encrypt(bytes(16))
     ref1 = CTRMode(KEY128, bytes(16)).encrypt(bytes(16))
     assert out == ref0 + ref1
+    # Across two calls: the cursor's counter reaches 2^128 unreduced,
+    # and the second call's block must be counter 0.
+    mode = CTRMode(KEY128, iv)
+    assert mode.encrypt(bytes(16)) + mode.encrypt(bytes(16)) == ref0 + ref1
 
 
 def test_cfb_sp80038a_encrypt():

@@ -43,3 +43,13 @@ def test_format_comparison_renders_one_sided_rows():
     text = format_comparison(comparison)
     assert "new" in text and "missing" in text
     assert text.strip().endswith("OK")
+
+
+def test_format_comparison_names_the_lowest_ratio_before_the_verdict():
+    comparison = compare_entries(
+        [_entry("fast", 3.0), _entry("slow", 0.9), _entry("fresh", 0.1)],
+        [_entry("fast", 1.0), _entry("slow", 5.0), _entry("retired", 5.0)],
+        tolerance=0.1)
+    lines = format_comparison(comparison).splitlines()
+    assert lines[-2] == "lowest ratio 0.18x: slow"
+    assert lines[-1] == "tolerance 0.1: OK"
