@@ -39,8 +39,9 @@ bench-perf:
 	    --compare benchmarks/baselines/bench_quick.json --tolerance 0.1
 
 # Cold floors: a 5 s bench/run.py run of each workload must be correct,
-# with no failed operation, and read at least 0.1x its committed median
-# in benchmarks/baselines/bench_cold.json.
+# with no failed operation, read at least 0.1x its committed events/s
+# median and at most 1.5x its committed peak-RSS median in
+# benchmarks/baselines/bench_cold.json.
 bench-cold:
 	$(PYTHON) benchmarks/cold_floors.py
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hmac
 import struct
 
+from .. import memos
 from . import recordcache
 from ._xor import xor_bytes
 from .chacha20 import _ietf_tails, _key_words, _keystream, _nonce_words
@@ -62,10 +63,8 @@ class ChaCha20Poly1305:
 
     def seal_records(self, records: list[tuple[bytes, bytes]],
                      aad: bytes = b"") -> list[bytes]:
-        """Seal each ``(nonce, plaintext)`` of ``records``, in order.
-
-        The record memo's misses are sealed by one keystream call.
-        """
+        """Seal each ``(nonce, plaintext)`` of ``records``, in order, with
+        one keystream call."""
         return recordcache.cached_seal_records(self._seal_records, "c20p",
                                                self._key, records, aad)
 
@@ -110,14 +109,18 @@ _AEADS = {
 }
 
 # (name, key) -> instance.  Seal and open are pure functions of (key,
-# nonce, message, aad), so sessions deriving the same subkey (HKDF is
-# memoized, and seeded repeats re-derive the same salts) can share one
-# object.  A ChaCha20Poly1305 holds only its key, an AESGCM its key,
-# its expanded AES and the hash subkey H, and nothing in either changes
-# after construction, so a shared instance carries nothing from one
-# session or run to the next.
+# nonce, message, aad), so sessions deriving the same subkey can share
+# one object: every probe-battery grid row reseeds its probes from the
+# run's seed, so a run builds each AEAD subkey three times.  A
+# ChaCha20Poly1305 holds only its key, an AESGCM its key, its expanded
+# AES and the hash subkey H, and nothing in either changes after
+# construction, so a shared instance carries nothing from one session
+# to the next.  Registered with repro.memos: the memo lives for one
+# unit of work and is emptied before the next.
 _INSTANCE_CACHE: dict = {}
 _INSTANCE_CACHE_MAX = 1 << 12
+memos.register(f"{__name__}._INSTANCE_CACHE", _INSTANCE_CACHE.clear,
+               _INSTANCE_CACHE.__len__)
 
 
 def new_aead(name: str, key: bytes):

@@ -2,13 +2,21 @@
 
 The GFW's passive detector uses the entropy of the first data packet in
 a connection as one of its two features (§4.2, Figure 9).
+
+Two memos skip work and never change a result.  The term table keeps
+``p * log2(p)`` per (payload length, byte count); it holds no run data
+and lives as long as the process.  The payload memo keeps whole payloads
+that came back, and belongs to one unit of work: it is registered with
+:mod:`repro.memos`, so the runner empties it before each unit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Union
+from typing import Dict, Set, Union
+
+from .. import memos
 
 __all__ = ["shannon_entropy"]
 
@@ -26,14 +34,20 @@ _TERMS: Dict[int, Dict[int, float]] = {}
 _TERMS_MAX = 1 << 16
 _terms_stored = 0
 
-# Whole-payload memo.  Long-horizon and repeated seeded runs feed the
-# detector the *same* feature packets over and over (the AEAD record
-# memo means identical plaintext records reseal to identical ciphertext
-# within a process), so the byte string itself is the natural cache key;
-# a hit skips the O(n) histogram outright.  Same input -> same cached
-# float, so results are bit-identical by construction.
+# Whole-payload memo: a hit skips the O(n) histogram outright, and
+# returns the float computed for the same bytes, so results stay exact.
+# Payloads that repeat within a run (the census's web-template
+# requests) are worth keeping; a Shadowsocks payload is unique and
+# never comes back.  So a payload is admitted only on its second
+# sighting: the first leaves just its hash in ``_SEEN_ONCE``, and a
+# hash collision only admits a payload one sighting early.  Both are
+# bounded at ``_ENTROPY_CACHE_MAX`` entries, cleared wholesale when full.
 _ENTROPY_CACHE: Dict[bytes, float] = {}
+_SEEN_ONCE: Set[int] = set()
 _ENTROPY_CACHE_MAX = 1 << 12
+memos.register(f"{__name__}._ENTROPY_CACHE", _ENTROPY_CACHE.clear,
+               _ENTROPY_CACHE.__len__)
+memos.register(f"{__name__}._SEEN_ONCE", _SEEN_ONCE.clear, _SEEN_ONCE.__len__)
 
 
 def shannon_entropy(data: Union[bytes, bytearray, memoryview]) -> float:
@@ -68,7 +82,14 @@ def shannon_entropy(data: Union[bytes, bytearray, memoryview]) -> float:
             terms[count] = term
             _terms_stored += 1
         entropy -= term
-    if len(_ENTROPY_CACHE) >= _ENTROPY_CACHE_MAX:
-        _ENTROPY_CACHE.clear()
-    _ENTROPY_CACHE[data] = entropy
+    key = hash(data)
+    if key in _SEEN_ONCE:
+        _SEEN_ONCE.discard(key)
+        if len(_ENTROPY_CACHE) >= _ENTROPY_CACHE_MAX:
+            _ENTROPY_CACHE.clear()
+        _ENTROPY_CACHE[data] = entropy
+    else:
+        if len(_SEEN_ONCE) >= _ENTROPY_CACHE_MAX:
+            _SEEN_ONCE.clear()
+        _SEEN_ONCE.add(key)
     return entropy

@@ -78,21 +78,16 @@ class Capture:
     def record(self, seg: Segment, time: float, sent: bool) -> None:
         if not self.enabled:
             return
+        if self.buffering:
+            self._raw.append((time, sent, seg))
         if not self.taps:
-            if self.buffering:
-                self._raw.append((time, sent, seg))
             return
-        # Taps observe the stream live and need real record objects.
+        # Taps observe the stream live and need real record objects;
+        # the log keeps only the raw tuple and materializes its own.
         rec = CaptureRecord.__new__(CaptureRecord)
         rec.time = time
         rec.sent = sent
         rec.segment = seg
-        if self.buffering:
-            # Keep the prefix invariant: materialize anything pending
-            # before appending, so ``_materialized`` stays aligned.
-            mat = self._materialize()
-            self._raw.append((time, sent, seg))
-            mat.append(rec)
         for tap in self.taps:
             tap(rec)
 

@@ -70,4 +70,6 @@ class Impairment:
 
     def is_down(self, t: float) -> bool:
         """Whether the link is inside a blackout window at time ``t``."""
+        if not self.flaps:
+            return False
         return any(start <= t < end for start, end in self.flaps)

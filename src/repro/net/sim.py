@@ -11,16 +11,15 @@ events) plus a min-heap of the distinct timestamps.  Scheduling into an
 existing bucket — the overwhelmingly common case on the datapath, where
 a whole burst of deliveries lands on one ``now + latency`` instant — is
 a single dict lookup and list append, O(1) with no heap traffic; the
-heap holds plain floats, so events are never compared.  Because the
-scheduling counter is monotonic, append order within a bucket *is*
-(time, seq) order, so the execution order is identical to the classic
-heapq implementation.
+heap holds plain floats, so events are never compared.  Events of one
+timestamp run in the order they were appended to its bucket, which is
+the order they were scheduled, as in the classic heapq implementation
+keyed by (time, sequence number).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, Optional
 
 from ..runtime.events import EventBus
@@ -37,7 +36,7 @@ class Event:
     counts delivered segments, however they were grouped into bursts.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "weight")
+    __slots__ = ("time", "fn", "args", "cancelled", "weight")
 
     def cancel(self) -> None:
         """Skip the callback if it has not run yet (a no-op after).
@@ -62,7 +61,6 @@ class Simulator:
         self._buckets: dict = {}
         self._times: list = []
         self._cursor = 0
-        self._counter = itertools.count()
         # The instrumentation bus: any component holding the simulator can
         # emit typed counters/samples without further plumbing.
         self.bus = bus if bus is not None else EventBus()
@@ -82,7 +80,6 @@ class Simulator:
         # delegated ``__init__`` call there.
         event = Event.__new__(Event)
         event.time = time
-        event.seq = next(self._counter)
         event.fn = fn
         event.args = args
         event.cancelled = False
@@ -109,7 +106,6 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
-        next(self._counter)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [(weight, fn, arg)]

@@ -7,10 +7,11 @@ entry point is built from the same three pieces:
   optional shard stamp.  It resolves the scenario in the registry,
   consults the on-disk :class:`~repro.runtime.cache.ResultCache` (keyed
   on scenario + canonical params + seed + code fingerprint) and skips
-  the simulation on a hit; on a miss it builds the experiment, times
-  it, snapshots the instrumentation bus, summarizes the artifact into a
-  structured :class:`~repro.runtime.scenario.RunResult`, and writes
-  result + manifest back to the cache;
+  the simulation on a hit; on a miss it empties every process-wide
+  memo (:mod:`repro.memos`), builds the experiment, times it, snapshots
+  the instrumentation bus, summarizes the artifact into a structured
+  :class:`~repro.runtime.scenario.RunResult`, and writes result +
+  manifest back to the cache;
 * the **shard planner** (:func:`_plan_shards`) — splits one seed of a
   sharded run into per-shard units, or answers it from the cached
   merged result;
@@ -39,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .. import memos
 from .cache import ResultCache, code_fingerprint
 from .scenario import RunResult, Scenario, canonical_json, canonical_params, get_scenario
 from .sharding import Sharder, ShardingError, fold_snapshots, partition
@@ -95,6 +97,9 @@ def _execute(name: str, seed: int, overrides: Optional[Mapping[str, Any]],
         if cached is not None:
             return cached, None
 
+    # Every memo belongs to one unit: the build reads nothing an
+    # earlier unit in this process left behind.
+    memos.clear_all()
     started = time.perf_counter()
     artifact = scenario.build(params)
     # Round-trip through canonical JSON: fails fast on non-serialisable

@@ -1,10 +1,10 @@
 """``shannon_entropy`` is bit-identical to the textbook oracle.
 
-The detector's entropy memoizes whole payloads and keeps its
-``p * log2(p)`` terms in one table per payload length.  Whatever those
-memos hold, it must return exactly (``==``, not ``approx``) the float
-that ``tests/entropy_reference.py`` computes from scratch, and the
-term memo must never store more than its cap.
+The detector's entropy memoizes whole payloads it sees a second time
+and keeps its ``p * log2(p)`` terms in one table per payload length.
+Whatever those memos hold, it must return exactly (``==``, not
+``approx``) the float that ``tests/entropy_reference.py`` computes from
+scratch, and the term memo must never store more than its cap.
 """
 
 import random
@@ -21,6 +21,7 @@ from ..entropy_reference import reference_entropy
 
 def _clear_memos() -> None:
     entropy._ENTROPY_CACHE.clear()
+    entropy._SEEN_ONCE.clear()
     entropy._TERMS.clear()
     entropy._terms_stored = 0
 
@@ -65,6 +66,7 @@ def test_cold_warm_and_term_only_memos_agree(data):
         expected = reference_entropy(payload)
         _clear_memos()
         assert shannon_entropy(payload) == expected      # both memos cold
+        assert shannon_entropy(payload) == expected      # second sighting
         assert shannon_entropy(payload) == expected      # payload memo hit
         entropy._ENTROPY_CACHE.clear()
         assert shannon_entropy(payload) == expected      # every term a hit
@@ -101,4 +103,32 @@ def test_term_memo_never_passes_its_cap():
     # term, and then held that payload's terms only.
     assert _stored_terms() == 256
     assert list(entropy._TERMS) == [len(data)]
+    _clear_memos()
+
+
+def test_payload_memo_admits_a_payload_on_its_second_sighting():
+    _clear_memos()
+    data = _payload(500, 200, 1)
+    expected = reference_entropy(data)
+    assert shannon_entropy(data) == expected
+    assert entropy._ENTROPY_CACHE == {}              # seen once: its hash only
+    assert entropy._SEEN_ONCE == {hash(data)}
+    assert shannon_entropy(data) == expected
+    assert entropy._ENTROPY_CACHE == {data: expected}
+    assert entropy._SEEN_ONCE == set()
+    # A hit returns the stored float without building a histogram.
+    with mock.patch.object(entropy, "Counter", side_effect=AssertionError):
+        assert shannon_entropy(data) == expected
+    _clear_memos()
+
+
+def test_seen_once_set_clears_wholesale_at_the_memo_cap():
+    _clear_memos()
+    with mock.patch.object(entropy, "_ENTROPY_CACHE_MAX", 4):
+        payloads = [_payload(64, 256, seed) for seed in range(9)]
+        for data in payloads:
+            assert shannon_entropy(data) == reference_entropy(data)
+            assert len(entropy._SEEN_ONCE) <= 4
+        assert entropy._SEEN_ONCE == {hash(payloads[8])}
+    assert entropy._ENTROPY_CACHE == {}
     _clear_memos()

@@ -94,14 +94,19 @@ def test_batch_sealed_records_open_as_pure_hits(cls):
 
 
 @pytest.mark.parametrize("cls", AEADS)
-def test_repeated_batch_calls_no_raw_sealer(cls):
+def test_repeated_batch_reseals_for_real(cls):
+    # The memo keeps no seal entries: sealing the same batch again runs
+    # the raw sealer and returns the same bytes, and each record still
+    # holds one (open) entry.
     aead = cls(KEY)
     first = aead.seal_records(BATCH)
-
-    def fail(*args):
-        raise AssertionError("raw sealer called")
-    aead._seal = aead._seal_records = fail
+    raw = []
+    name = "_seal_records" if hasattr(aead, "_seal_records") else "_seal"
+    sealer = getattr(aead, name)
+    setattr(aead, name, lambda *a: raw.append(a) or sealer(*a))
     assert aead.seal_records(BATCH) == first
+    assert raw
+    assert len(recordcache._cache) == len(BATCH)
 
 
 @pytest.mark.parametrize("cls", AEADS)
@@ -127,7 +132,7 @@ def test_oversized_batch_record_bypasses_the_cache():
     records = [(NONCE, b"small"), ((1).to_bytes(12, "little"), big)]
     sealed = aead.seal_records(records)
     assert sealed == [ReferenceChaCha20Poly1305(KEY).seal(nonce, pt) for nonce, pt in records]
-    assert len(recordcache._cache) == 2        # the small record's seal and open
+    assert len(recordcache._cache) == 1        # the small record's entry
     assert aead.open(records[1][0], sealed[1]) == big
 
 

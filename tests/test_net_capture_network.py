@@ -80,6 +80,23 @@ def test_capture_connections_grouping():
     assert len(groups) == 2
 
 
+def test_tapped_buffering_capture_logs_what_its_taps_saw():
+    cap = Capture()
+    seen = []
+    cap.subscribe(seen.append)
+    segments = [seg(), seg(flags=Flags.PSH | Flags.ACK, payload=b"xy"),
+                seg(flags=Flags.ACK), seg(flags=Flags.FIN | Flags.ACK)]
+    for i, segment in enumerate(segments[:2]):
+        cap.record(segment, float(i), sent=bool(i % 2))
+    assert len(cap.records) == 2                    # read mid-stream
+    for i, segment in enumerate(segments[2:], start=2):
+        cap.record(segment, float(i), sent=bool(i % 2))
+    assert len(cap) == len(seen) == 4               # each segment once
+    assert [(r.time, r.sent, r.segment) for r in cap.records] == \
+        [(r.time, r.sent, r.segment) for r in seen]
+    assert [r.segment for r in cap.records] == segments
+
+
 def test_capture_clear():
     cap = Capture()
     cap.record(seg(), 1.0, False)

@@ -54,6 +54,7 @@ def test_active_and_is_down():
     assert imp.is_down(19.99)
     assert not imp.is_down(20.0)
     assert not imp.is_down(5.0)
+    assert not Impairment(loss=0.1).is_down(10.0)      # no flap windows
 
 
 # --------------------------------------------------------- network wiring
