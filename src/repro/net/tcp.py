@@ -465,31 +465,11 @@ class TcpConnection:
             if self._send_buffer or (self._fin_pending and not self._fin_sent):
                 self._pump()
 
-        if not self.reliable:
-            if seg.payload or flags & Flags.FIN:
+        if seg.payload or flags & Flags.FIN:
+            if self.reliable:
+                self._deliver_in_order(seg)
+            else:
                 self._receive_sequenced(seg)
-            return
-
-        if seg.payload:
-            self._rcv_nxt = (seg.seq + len(seg.payload)) & 0xFFFFFFFF
-            self.bytes_received += len(seg.payload)
-            self._emit(Flags.ACK)
-            self.on_data(seg.payload)
-            # on_data may have closed/aborted us; nothing further to do then.
-            if self.state == TcpState.CLOSED:
-                return
-
-        if flags & Flags.FIN:
-            self.fin_received = True
-            if self.fin_sent_first is None:
-                self.fin_sent_first = False
-            self._rcv_nxt = (seg.seq + len(seg.payload) + 1) & 0xFFFFFFFF
-            self._emit(Flags.ACK)
-            self.on_remote_fin()
-            if self.state == TcpState.FIN_WAIT:
-                self._enter_closed()
-            elif self.state == TcpState.ESTABLISHED:
-                self.state = TcpState.CLOSE_WAIT
 
     # ----------------------------------------------- batched receive path
 
@@ -709,7 +689,14 @@ class TcpConnection:
             self._drain_ooo()
 
     def _deliver_in_order(self, seg: Segment) -> None:
-        """Deliver a segment starting at or before ``rcv_nxt`` (trims overlap)."""
+        """Deliver a segment's data, then its FIN, and ACK each.
+
+        A segment that starts before ``rcv_nxt`` has its overlap trimmed.
+        A reliable fabric sends every data or FIN segment here straight
+        from :meth:`handle_segment`: it neither duplicates nor
+        retransmits, so nothing is trimmed, and a segment past a gap a
+        middlebox left (a blocked segment) is taken as it comes.
+        """
         payload = seg.payload
         offset = _seq_delta(self._rcv_nxt, seg.seq)
         if offset > 0:
@@ -719,9 +706,10 @@ class TcpConnection:
             self.bytes_received += len(payload)
             self._emit(Flags.ACK)
             self.on_data(payload)
+            # on_data may have closed/aborted us; nothing further to do then.
             if self.state == TcpState.CLOSED:
                 return
-        if seg.has(Flags.FIN):
+        if seg.flags & Flags.FIN:
             self.fin_received = True
             if self.fin_sent_first is None:
                 self.fin_sent_first = False

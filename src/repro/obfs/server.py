@@ -1,8 +1,10 @@
 """Tor bridge server: three transports, three probe reactions.
 
-The bridge relays framed application data exactly like the Shadowsocks
-server relays decrypted data; what differs is the handshake, and
-therefore what the GFW's active probes observe:
+The bridge's session relays framed application data through the same
+:class:`~repro.protocols.relay.RelaySession` as the Shadowsocks server's,
+so both dial, pipe and close alike.  What differs is the handshake, the
+target frame and the framing, and therefore what the GFW's active
+probes observe:
 
 ==============  =======================  ==========================
 profile         forged VERSIONS probe    garbage binary probe
@@ -24,6 +26,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from ..protocols.relay import RelaySession
 from .wire import (
     OBFS3_HANDSHAKE_LEN,
     OBFS4_MAC_LEN,
@@ -79,76 +82,25 @@ class ObfsServer:
         self.host.unlisten(self.port)
 
 
-class ObfsServerSession:
+class ObfsServerSession(RelaySession):
     """One accepted connection to the bridge."""
 
-    HANDSHAKE = "handshake"
     RELAY_TARGET = "relay-target"   # handshake done, awaiting target frame
-    CONNECTING = "connecting"
-    PROXY = "proxy"
-    DRAIN = "drain"                 # probe-resistant silent read-forever
-    DONE = "done"
+    PROXIED = "obfs.session.proxied"
 
     def __init__(self, server: ObfsServer, conn):
-        self.server = server
-        self.conn = conn
-        self.state = self.HANDSHAKE
         self._buffer = bytearray()
         self._pending = bytearray()   # frame bytes queued behind the dial
-        self.remote = None
-        self._idle_event = None  # armed at the end of __init__
-        self._connect_event = None
         # Frame codecs are armed only after a successful handshake: the
         # keystream must not advance on probe garbage.
         self._rx: Optional[FrameCodec] = None
         self._tx: Optional[FrameCodec] = None
-        conn.on_data = self._on_data
-        conn.on_remote_fin = self._on_client_fin
-        conn.on_reset = self._teardown
-        self._arm_idle()
-
-    @property
-    def sim(self):
-        return self.server.host.sim
-
-    # ------------------------------------------------------------- plumbing
-
-    def _arm_idle(self) -> None:
-        if self._idle_event is not None:
-            self._idle_event.cancel()
-        self._idle_event = self.sim.schedule(self.server.idle_timeout,
-                                             self._idle_timeout)
-
-    def _idle_timeout(self) -> None:
-        if self.state != self.DONE:
-            self.state = self.DONE
-            self.conn.close()
-            if self.remote is not None:
-                self.remote.close()
-
-    def _teardown(self) -> None:
-        self.state = self.DONE
-        self._idle_event.cancel()
-        if self._connect_event is not None:
-            self._connect_event.cancel()
-        if self.remote is not None and self.remote.state != "CLOSED":
-            self.remote.abort()
-            self.remote = None
-
-    def _on_client_fin(self) -> None:
-        if self.remote is not None and self.remote.is_open:
-            self.remote.close()
-        if self.state != self.DONE:
-            self.state = self.DONE
-            self.conn.close()
-        self._idle_event.cancel()
+        super().__init__(server, conn)
 
     def _close_gracefully(self) -> None:
         """Parse failure on a parsing transport: FIN/ACK, like a real relay."""
         self.sim.bus.incr("obfs.session.rejected")
-        self.state = self.DONE
-        self._idle_event.cancel()
-        self.conn.close()
+        self._close()
 
     def _drain(self) -> None:
         """Probe resistance: swallow everything, answer nothing."""
@@ -259,68 +211,13 @@ class ObfsServerSession:
             self._close_gracefully()
             return
         port = int.from_bytes(frame[2 + host_len:4 + host_len], "big")
-        self.state = self.CONNECTING
-        ip = self.server.host.network.resolve(hostname)
-        if ip is None:
-            self._connect_event = self.sim.schedule(self.server.dns_delay,
-                                                    self._connect_failed)
-            return
-        self._dial(ip, port)
+        self._connect(self.server.host.network.resolve(hostname), port)
 
-    def _dial(self, ip: str, port: int) -> None:
-        try:
-            self.remote = self.server.host.connect(ip, port)
-        except ValueError:
-            self._connect_event = self.sim.schedule(0.0, self._connect_failed)
-            return
-        self.remote.on_connected = self._connect_succeeded
-        self.remote.on_reset = self._connect_failed
-        self._connect_event = self.sim.schedule(self.server.connect_timeout,
-                                                self._connect_failed)
-
-    def _connect_failed(self) -> None:
-        if self.state != self.CONNECTING:
-            return
-        if self._connect_event is not None:
-            self._connect_event.cancel()
-        if (self.remote is not None and not self.remote.reset_received
-                and self.remote.state != "CLOSED"):
-            self.remote.abort()
-        self.remote = None
-        self.state = self.DONE
-        self._idle_event.cancel()
-        self.conn.close()
-
-    def _connect_succeeded(self) -> None:
-        if self.state != self.CONNECTING:
-            if self.remote is not None and self.remote.state != "CLOSED":
-                self.remote.abort()
-            return
-        if self._connect_event is not None:
-            self._connect_event.cancel()
-        self.state = self.PROXY
-        self.sim.bus.incr("obfs.session.proxied")
-        remote = self.remote
-        remote.on_data = self._proxy_remote_data
-        remote.on_remote_fin = self._remote_closed
-        remote.on_reset = self._remote_reset
+    def _flush_to_remote(self, remote) -> None:
         if self._pending:
             remote.send(bytes(self._pending))
             self._pending.clear()
 
-    def _proxy_remote_data(self, data: bytes) -> None:
+    def _encode(self, data: bytes) -> bytes:
         assert self._tx is not None
-        self.conn.send(self._tx.encode(data))
-        self._arm_idle()
-
-    def _remote_closed(self) -> None:
-        if self.state == self.PROXY:
-            self.state = self.DONE
-            self.conn.close()
-            self._idle_event.cancel()
-
-    def _remote_reset(self) -> None:
-        if self.state == self.PROXY:
-            self.state = self.DONE
-            self.conn.abort()
-            self._idle_event.cancel()
+        return self._tx.encode(data)

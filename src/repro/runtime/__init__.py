@@ -26,7 +26,6 @@ from .events import (
     EventBus,
     RecordForwarder,
     install_record_tap,
-    merge_counters,
     remove_record_tap,
     sanitize_record,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "flow_key",
     "get_scenario",
     "install_record_tap",
-    "merge_counters",
     "merge_results",
     "partition",
     "register",

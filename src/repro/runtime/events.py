@@ -102,15 +102,14 @@ __all__ = [
     "EventBus",
     "RecordForwarder",
     "install_record_tap",
-    "merge_counters",
     "remove_record_tap",
     "sanitize_record",
 ]
 
 # Globally-installed record taps, auto-subscribed by every EventBus
 # constructed while installed.  Copy-on-write tuple for the same reason
-# the per-bus subscriber list is: installs/removes must never mutate a
-# sequence a constructor is reading.
+# the per-bus record subscriber list is: installs/removes must never
+# mutate a sequence a constructor is reading.
 _RECORD_TAPS: Tuple[Callable[[Dict[str, Any]], None], ...] = ()
 
 
@@ -146,17 +145,15 @@ class EventBus:
 
     ``incr`` is designed to be cheap enough for per-event hot paths (one
     dict update); ``observe`` additionally tracks count/sum/min/max of a
-    scalar series.  ``subscribe`` registers a live listener, which is how
-    tests and progress displays can watch a run without polling.
+    scalar series.
     """
 
-    __slots__ = ("counters", "scalars", "_subscribers", "_record_subscribers")
+    __slots__ = ("counters", "scalars", "_record_subscribers")
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
         # name -> [count, total, minimum, maximum]
         self.scalars: Dict[str, List[float]] = {}
-        self._subscribers: List[Callable[[str, float], None]] = []
         # Copy-on-write: emit() iterates whatever list object is bound
         # at dispatch time, and (un)subscribe bind a *new* list, so a
         # subscriber detaching itself mid-emit can never skip or repeat
@@ -169,8 +166,6 @@ class EventBus:
     def incr(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the counter ``name`` (creating it at zero)."""
         self.counters[name] = self.counters.get(name, 0) + n
-        for fn in self._subscribers:
-            fn(name, n)
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample of the scalar series ``name``."""
@@ -184,11 +179,6 @@ class EventBus:
                 agg[2] = value
             if value > agg[3]:
                 agg[3] = value
-        for fn in self._subscribers:
-            fn(name, value)
-
-    def subscribe(self, fn: Callable[[str, float], None]) -> None:
-        self._subscribers.append(fn)
 
     # -------------------------------------------------- structured records
 
@@ -257,10 +247,6 @@ class EventBus:
                 for name, agg in sorted(self.scalars.items())
             },
         }
-
-    def clear(self) -> None:
-        self.counters.clear()
-        self.scalars.clear()
 
     def absorb(self, other: "EventBus") -> None:
         """Fold another bus's tallies into this one (for multi-world runs)."""
@@ -352,12 +338,3 @@ class RecordForwarder:
         except OSError:
             self.dead = True
             self.dropped += 1
-
-
-def merge_counters(snapshots: List[Dict[str, object]]) -> Dict[str, int]:
-    """Sum the ``counters`` sections of several bus snapshots."""
-    totals: Dict[str, int] = {}
-    for snap in snapshots:
-        for name, n in (snap.get("counters") or {}).items():
-            totals[name] = totals.get(name, 0) + int(n)
-    return dict(sorted(totals.items()))

@@ -10,10 +10,10 @@ recombination safe:
   JSON-able label.  Built on BLAKE2b over a canonical encoding, *never*
   on Python's ``hash()``: the builtin is randomized per interpreter
   (``PYTHONHASHSEED``), which would scatter flows across different
-  shards on every run.  The same helper keys the runner's unit
-  partitioner and the :class:`~repro.gfw.flowtable.FlowTable`'s
-  per-shard admission filter, so both layers always agree on who owns
-  a flow.
+  shards on every run.  The runner's unit partitioner keys on it, and
+  so do the per-flow shapes of the scale harness
+  (:mod:`repro.runtime.scale`), so a flow looks the same in every shard
+  subset.
 * :func:`shard_of` / :func:`partition` — key → shard index, and the
   full assignment of an ordered unit list onto ``count`` shards.
 * :func:`derive_seed` — a stable per-unit seed from (seed, label), so

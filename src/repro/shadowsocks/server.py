@@ -23,6 +23,7 @@ from typing import Optional
 
 from ..crypto import AuthenticationError, evp_bytes_to_key, get_spec, stream_key
 from ..crypto.registry import CipherKind
+from ..protocols.relay import RelaySession
 from .aead_session import AeadDecryptor, AeadEncryptor
 from .implementations.base import BehaviorProfile, ErrorAction
 from .implementations.registry import get_profile
@@ -76,6 +77,11 @@ class ShadowsocksServer:
         )
         host.listen(port, self._accept)
 
+    @property
+    def idle_timeout(self) -> float:
+        """Seconds of silence after which a session is closed with FIN."""
+        return self.profile.idle_timeout
+
     def _accept(self, conn) -> ServerSession:
         self.host.sim.bus.incr("ss.session.accepted")
         return ServerSession(self, conn)
@@ -91,26 +97,16 @@ class ShadowsocksServer:
         self.host.unlisten(self.port)
 
 
-class ServerSession:
+class ServerSession(RelaySession):
     """One accepted connection."""
 
-    HANDSHAKE = "handshake"
-    CONNECTING = "connecting"
-    PROXY = "proxy"
-    DRAIN = "drain"  # error swallowed; read forever (TIMEOUT behaviour)
-    DONE = "done"
+    PROXIED = "ss.session.proxied"
 
     def __init__(self, server: ShadowsocksServer, conn):
-        self.server = server
-        self.conn = conn
-        self.state = self.HANDSHAKE
         self.total_received = 0
         self._plain = bytearray()
         self._initial_data = b""
-        self.remote = None
         self.target = None
-        self._idle_event = None  # armed at the end of __init__
-        self._connect_event = None
 
         kind = server.cipher_spec.kind
         if kind == CipherKind.STREAM:
@@ -118,60 +114,17 @@ class ServerSession:
         else:
             self._decryptor = AeadDecryptor(server.method, server.master)
         self._encryptor = None  # created lazily for the reply direction
-
-        conn.on_data = self._on_data
-        conn.on_remote_fin = self._on_client_fin
-        conn.on_reset = self._teardown
-        self._arm_idle()
-
-    # -------------------------------------------------------------- plumbing
-
-    @property
-    def sim(self):
-        return self.server.host.sim
+        super().__init__(server, conn)
 
     @property
     def profile(self) -> BehaviorProfile:
         return self.server.profile
 
-    def _arm_idle(self) -> None:
-        if self._idle_event is not None:
-            self._idle_event.cancel()
-        self._idle_event = self.sim.schedule(self.profile.idle_timeout, self._idle_timeout)
-
-    def _idle_timeout(self) -> None:
-        # Real servers reap idle connections with a graceful close.
-        if self.state not in (self.DONE,):
-            self.state = self.DONE
-            self.conn.close()
-            if self.remote is not None:
-                self.remote.close()
-
-    def _teardown(self) -> None:
-        self.state = self.DONE
-        self._idle_event.cancel()
-        if self._connect_event is not None:
-            self._connect_event.cancel()
-        if self.remote is not None and self.remote.state != "CLOSED":
-            # Covers both an established pipe and a dial still in SYN_SENT.
-            self.remote.abort()
-            self.remote = None
-
-    def _on_client_fin(self) -> None:
-        if self.remote is not None and self.remote.is_open:
-            self.remote.close()
-        if self.state != self.DONE:
-            self.state = self.DONE
-            self.conn.close()
-        self._idle_event.cancel()
-
     def _fail(self) -> None:
         """Authentication failure or invalid target: profile-specific."""
         self.sim.bus.incr("ss.session.error")
         if self.profile.error_action == ErrorAction.RST:
-            self.state = self.DONE
-            self._idle_event.cancel()
-            self.conn.abort()
+            self._abort()
         else:
             self.state = self.DRAIN  # read forever; idle timer keeps running
 
@@ -231,9 +184,7 @@ class ServerSession:
             ):
                 # Outline v1.0.6: a probe of exactly [salt][len][tag] size
                 # draws an immediate FIN/ACK instead of a RST.
-                self.state = self.DONE
-                self._idle_event.cancel()
-                self.conn.close()
+                self._close()
             else:
                 self._fail()
             return
@@ -278,79 +229,23 @@ class ServerSession:
         if result.status == INVALID:
             self._fail()
             return
-        self.target = result.spec
+        spec = self.target = result.spec
         self._initial_data = bytes(self._plain[result.consumed :])
         self._plain.clear()
-        self._connect_target()
-
-    def _connect_target(self) -> None:
-        self.state = self.CONNECTING
-        spec = self.target
         if spec.atyp == ATYP_HOSTNAME:
             ip = self.server.host.network.resolve(spec.host)
-            if ip is None:
-                # Resolution failure surfaces after a resolver round trip.
-                self._connect_event = self.sim.schedule(
-                    self.server.dns_delay, self._connect_failed
-                )
-                return
-            self._dial(ip, spec.port)
         elif spec.atyp == ATYP_IPV4:
-            self._dial(spec.host, spec.port)
+            ip = spec.host
         else:
-            # No IPv6 fabric in the model; fails like an unreachable host.
-            self._connect_event = self.sim.schedule(
-                self.server.dns_delay, self._connect_failed
-            )
+            ip = None  # no IPv6 fabric in the model: fails like an unreachable host
+        self._connect(ip, spec.port)
 
-    def _dial(self, ip: str, port: int) -> None:
-        try:
-            self.remote = self.server.host.connect(ip, port)
-        except ValueError:
-            # e.g. connecting to ourselves on a colliding 4-tuple
-            self._connect_event = self.sim.schedule(0.0, self._connect_failed)
-            return
-        self.remote.on_connected = self._connect_succeeded
-        self.remote.on_reset = self._connect_failed
-        self._connect_event = self.sim.schedule(
-            self.server.connect_timeout, self._connect_failed
-        )
-
-    def _connect_failed(self) -> None:
-        if self.state != self.CONNECTING:
-            return
-        if self._connect_event is not None:
-            self._connect_event.cancel()
-        if (
-            self.remote is not None
-            and not self.remote.reset_received
-            and self.remote.state != "CLOSED"
-        ):
-            self.remote.abort()
-        self.remote = None
-        # Failure to reach the target: graceful FIN/ACK toward the client.
-        self.state = self.DONE
-        self._idle_event.cancel()
-        self.conn.close()
-
-    def _connect_succeeded(self) -> None:
-        if self.state != self.CONNECTING:
-            # The client went away while we were dialing.
-            if self.remote is not None and self.remote.state != "CLOSED":
-                self.remote.abort()
-            return
-        if self._connect_event is not None:
-            self._connect_event.cancel()
-        self.state = self.PROXY
-        self.sim.bus.incr("ss.session.proxied")
-        remote = self.remote
-        remote.on_data = self._proxy_remote_data
-        remote.on_remote_fin = self._remote_closed
-        remote.on_reset = self._remote_reset
+    def _flush_to_remote(self, remote) -> None:
         if self._initial_data:
             remote.send(self._initial_data)
             self._initial_data = b""
-        # Decrypt anything that arrived while we were connecting.
+        # Decrypted bytes that arrived while we were connecting.  A second
+        # send, not one of the concatenation: the segments differ.
         backlog = bytes(self._plain)
         self._plain.clear()
         if backlog:
@@ -365,7 +260,7 @@ class ServerSession:
         if plaintext and self.remote is not None:
             self.remote.send(plaintext)
 
-    def _proxy_remote_data(self, data: bytes) -> None:
+    def _encode(self, data: bytes) -> bytes:
         if self._encryptor is None:
             kind = self.server.cipher_spec.kind
             if kind == CipherKind.STREAM:
@@ -376,17 +271,4 @@ class ServerSession:
                 self._encryptor = AeadEncryptor(
                     self.server.method, self.server.master, rng=self.server.rng
                 )
-        self.conn.send(self._encryptor.encrypt(data))
-        self._arm_idle()
-
-    def _remote_closed(self) -> None:
-        if self.state == self.PROXY:
-            self.state = self.DONE
-            self.conn.close()
-            self._idle_event.cancel()
-
-    def _remote_reset(self) -> None:
-        if self.state == self.PROXY:
-            self.state = self.DONE
-            self.conn.abort()
-            self._idle_event.cancel()
+        return self._encryptor.encrypt(data)

@@ -105,9 +105,10 @@ class _VmessSession:
         self._idle.cancel()
 
     def _close_remote(self) -> None:
-        """Tear the upstream down: FIN it if open, abort a pending dial."""
+        """Tear the upstream down: FIN it if open and not reset, abort a
+        pending dial."""
         if self.remote is not None:
-            if self.remote.is_open:
+            if self.remote.is_open and not self.remote.reset_received:
                 self.remote.close()
             elif self.state == "connecting":
                 self.remote.abort()
@@ -218,6 +219,7 @@ class _VmessSession:
                                       self.request.response_iv, encrypt=False)
         self.remote.on_data = self._upstream_data
         self.remote.on_remote_fin = self._client_fin
+        self.remote.on_reset = self._client_fin
         if self.buffer:
             self.remote.send(self._body_decipher.decrypt(bytes(self.buffer)))
             self.buffer.clear()

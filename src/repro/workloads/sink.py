@@ -36,10 +36,14 @@ class SinkServer:
 
         def on_data(data: bytes) -> None:
             self.bytes_received += len(data)
+            self._received(conn, data)
 
         conn.on_data = on_data
         conn.on_remote_fin = conn.close
         self.host.sim.schedule(self.CLOSE_AFTER, self._reap, conn)
+
+    def _received(self, conn, data: bytes) -> None:
+        """Answer ``data`` that arrived on ``conn``: a sink says nothing."""
 
     def _reap(self, conn) -> None:
         if conn.state != "CLOSED":
@@ -56,19 +60,10 @@ class RespondingServer(SinkServer):
         self.prober_responses = 0
         super().__init__(host, port)
 
-    def _accept(self, conn) -> None:
-        self.connections_accepted += 1
-        is_prober = conn.remote_ip not in self.own_clients
-
-        def on_data(data: bytes) -> None:
-            self.bytes_received += len(data)
-            if is_prober:
-                self.prober_responses += 1
-                conn.send(random_payload(self.rng.randint(1, 1000), self.rng))
-
-        conn.on_data = on_data
-        conn.on_remote_fin = conn.close
-        self.host.sim.schedule(self.CLOSE_AFTER, self._reap, conn)
+    def _received(self, conn, data: bytes) -> None:
+        if conn.remote_ip not in self.own_clients:
+            self.prober_responses += 1
+            conn.send(random_payload(self.rng.randint(1, 1000), self.rng))
 
 
 class RandomDataClient:

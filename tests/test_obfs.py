@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net import Flags, Host, Network, Simulator
+from repro.net import Host, Network, Simulator
 from repro.obfs import (
     OBFS3_HANDSHAKE_LEN,
     OBFS_PROFILES,
@@ -62,26 +62,19 @@ def test_obfs4_handshake_decodes_with_key():
 # ----------------------------------------------------------------- tunnel
 
 
-def _bridge(profile, on_target_data):
-    """A client, a bridge and a web target at ``example.com:80`` whose
-    connections answer data with ``on_target_data(conn, data)``."""
+def _world(profile):
+    """A client, a bridge and a web target at ``example.com:80``."""
     sim = Simulator()
     net = Network(sim)
     client_host = Host(sim, net, "192.0.2.10", "client")
     bridge_host = Host(sim, net, "198.51.100.5", "bridge")
     target_host = Host(sim, net, "203.0.113.80", "web")
     target_host.listen(80, lambda conn: setattr(
-        conn, "on_data", lambda data: on_target_data(conn, data)))
+        conn, "on_data", lambda data: conn.send(b"HTTP/1.1 200 OK\r\n\r\nhi")))
     net.register_name("example.com", "203.0.113.80")
-    server = ObfsServer(bridge_host, 443, "bridge", profile)
+    ObfsServer(bridge_host, 443, "bridge", profile)
     client = ObfsClient(client_host, "198.51.100.5", 443, "bridge",
                         profile=profile)
-    return sim, client, server
-
-
-def _world(profile):
-    sim, client, _ = _bridge(profile, lambda conn, data: conn.send(
-        b"HTTP/1.1 200 OK\r\n\r\nhi"))
     return sim, client
 
 
@@ -91,33 +84,6 @@ def test_roundtrip_through_bridge(profile):
     session = client.open("example.com", 80, b"GET / HTTP/1.1\r\n\r\n")
     sim.run(until=30)
     assert bytes(session.reply) == b"HTTP/1.1 200 OK\r\n\r\nhi"
-
-
-def test_unresolvable_target_closes_after_dns_delay():
-    """The target frame names a host that does not resolve: the bridge
-    answers with FIN/ACK one resolver delay after the frame arrives."""
-    sim, client, server = _bridge("obfs4", lambda conn, data: None)
-    sessions = accepted_sessions(server)
-    session = client.open("nowhere.example", 80, b"GET /")
-    sim.run(until=30)
-    assert session.closed and not session.reset and not session.reply
-    capture = server.host.capture
-    request = next(r for r in capture.received() if r.segment.is_data)
-    fin = next(r for r in capture.sent() if r.segment.flags & Flags.FIN)
-    assert fin.time - request.time == pytest.approx(server.dns_delay)
-    assert sessions[0].state == sessions[0].DONE
-
-
-def test_target_reset_resets_client():
-    """A target that answers the first frame with RST: the bridge resets
-    the client connection."""
-    sim, client, server = _bridge("obfs4", lambda conn, data: conn.abort())
-    sessions = accepted_sessions(server)
-    session = client.open("example.com", 80, b"GET / HTTP/1.1\r\n\r\n")
-    sim.run(until=30)
-    assert session.reset and not session.reply
-    bridged = sessions[0]
-    assert bridged.state == bridged.DONE and bridged.remote.reset_received
 
 
 def test_unknown_profile_rejected():

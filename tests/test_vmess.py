@@ -148,6 +148,37 @@ def test_client_reset_while_dialing_aborts_upstream():
     assert proxied.remote.reset_sent and proxied.remote.state == "CLOSED"
 
 
+def test_target_reset_while_relaying_closes_the_client_leg():
+    """The target aborts right after its reply, and the client writes as
+    the reply arrives: the server closes the client leg with FIN, sends
+    nothing more on the reset upstream, and drops the late write."""
+    sim = Simulator()
+    net = Network(sim)
+    server_host = Host(sim, net, "198.51.100.30", "vmess-server")
+    client_host = Host(sim, net, "192.0.2.30", "vmess-client")
+    web = Host(sim, net, "198.18.0.30", "web")
+
+    def reply_and_abort(conn):
+        def on_data(data):
+            conn.send(b"bye")
+            conn.abort()
+        conn.on_data = on_data
+
+    web.listen(80, reply_and_abort)
+    server = VmessServer(server_host, 10086, USER_ID, rng=random.Random(1))
+    sessions = accepted_sessions(server)
+    client = VmessClient(client_host, server_host.ip, 10086, USER_ID,
+                         rng=random.Random(2))
+    session = client.open(web.ip, 80, b"GET /",
+                          on_reply=lambda data: session.send(b"more"))
+    sim.run(until=60)
+    assert bytes(session.reply) == b"bye"
+    assert session.closed and not session.reset
+    proxied = sessions[0]
+    assert proxied.state == "done"
+    assert proxied.remote.reset_received and proxied.remote.fin_sent_first is None
+
+
 def test_unresolvable_target_closes_after_resolver_delay():
     sim, net, server, client, (server_host, _, _) = make_world()
     session = client.open("nowhere.example", 80, b"GET /")
